@@ -7,14 +7,15 @@
 //
 // The first parses standard `go test -bench` output (including custom
 // ReportMetric columns) into a stable JSON record and derives the
-// engine speedups from every Foo / FooDense and Foo / FooParallel
-// benchmark pair. The second diffs two such records, flagging time and
-// allocation regressions; -gate makes named regressions fatal (exit 1)
-// beyond a tolerance (default 25%, for cross-machine trajectory
-// points). The third renders the parallel-engine shard-scaling curve
-// (the .../shards=N sub-benchmarks) as a markdown section for
-// results_all.md. The raw -bench text should be kept next to the JSON
-// so external tools (e.g. benchstat) can consume it directly.
+// engine speedups from every Foo / FooDense and Foo / FooTwin benchmark
+// pair. The second diffs two such records, flagging time and allocation
+// regressions; -gate makes named regressions fatal (exit 1) beyond a
+// tolerance (default 25%, for cross-machine trajectory points). The
+// third renders the record's twin-vs-skip engine table as a markdown
+// section for results_all.md. The raw -bench text should be kept next
+// to the JSON so external tools (e.g. benchstat) can consume it
+// directly. Older records still parse: fields this version no longer
+// knows (the removed parallel engine's parallel_vs_skip) are ignored.
 package main
 
 import (
@@ -50,24 +51,10 @@ type Speedup struct {
 	Speedup   float64 `json:"speedup"`
 }
 
-// ParallelSpeedup is a derived parallel-vs-skip engine comparison:
-// benchmark Foo ran on the sequential skip-ahead engine, FooParallel on
-// the intra-run per-channel-sharded one, on identical workloads with
-// byte-identical results.
-type ParallelSpeedup struct {
-	Benchmark  string  `json:"benchmark"`
-	SkipNs     float64 `json:"skip_ns_per_op"`
-	ParallelNs float64 `json:"parallel_ns_per_op"`
-	// Speedup is skip-time / parallel-time: above 1 the shards pay off,
-	// below 1 the barriers cost more than the parallelism returns (the
-	// expected shape on a single-CPU machine).
-	Speedup float64 `json:"speedup"`
-}
-
 // TwinSpeedup is a derived twin-vs-skip engine comparison: benchmark
 // Foo ran the cycle-accurate skip-ahead engine, FooTwin answered the
-// identical grid from the calibrated analytical twin. Unlike the other
-// engine pairs the outputs are approximations inside recorded error
+// identical grid from the calibrated analytical twin. Unlike the
+// dense/skip pair the outputs are approximations inside recorded error
 // bounds, not byte-identical results — the speedup is what those bounds
 // buy.
 type TwinSpeedup struct {
@@ -87,21 +74,18 @@ type Record struct {
 	GOARCH    string `json:"goarch"`
 	// MaxProcs is the GOMAXPROCS suffix the test runner appended to the
 	// benchmark names — the CPU budget the point was recorded under.
-	// Scaling curves from a 1-CPU box answer a different question than
-	// multi-core ones, so the renderer calls the difference out.
-	MaxProcs       int               `json:"maxprocs,omitempty"`
-	Benchmarks     []Benchmark       `json:"benchmarks"`
-	DenseVsSkip    []Speedup         `json:"dense_vs_skip,omitempty"`
-	ParallelVsSkip []ParallelSpeedup `json:"parallel_vs_skip,omitempty"`
-	TwinVsSkip     []TwinSpeedup     `json:"twin_vs_skip,omitempty"`
-	FailedParses   []string          `json:"failed_parses,omitempty"`
+	MaxProcs     int           `json:"maxprocs,omitempty"`
+	Benchmarks   []Benchmark   `json:"benchmarks"`
+	DenseVsSkip  []Speedup     `json:"dense_vs_skip,omitempty"`
+	TwinVsSkip   []TwinSpeedup `json:"twin_vs_skip,omitempty"`
+	FailedParses []string      `json:"failed_parses,omitempty"`
 }
 
 func main() {
 	label := flag.String("label", "", "label to embed in the JSON record")
 	compare := flag.Bool("compare", false, "compare two JSON records (old new) instead of parsing bench output")
 	gate := flag.String("gate", "", "comma-separated NAME[:TOLPCT] benchmarks whose ns/op regression beyond TOLPCT (default 25) fails -compare")
-	scaling := flag.Bool("scaling", false, "render the shard-scaling curve of one JSON record as markdown")
+	scaling := flag.Bool("scaling", false, "render the twin-vs-skip engine table of one JSON record as markdown")
 	flag.Parse()
 
 	if *compare {
@@ -191,7 +175,6 @@ func parse(r io.Reader) (*Record, error) {
 		return nil, fmt.Errorf("no benchmark result lines found")
 	}
 	rec.DenseVsSkip = deriveSpeedups(rec.Benchmarks)
-	rec.ParallelVsSkip = deriveParallelSpeedups(rec.Benchmarks)
 	rec.TwinVsSkip = deriveTwinSpeedups(rec.Benchmarks)
 	return rec, nil
 }
@@ -277,34 +260,6 @@ func deriveSpeedups(bs []Benchmark) []Speedup {
 	return out
 }
 
-// deriveParallelSpeedups pairs every FooParallel benchmark with its Foo
-// counterpart and reports skip-time / parallel-time.
-func deriveParallelSpeedups(bs []Benchmark) []ParallelSpeedup {
-	byName := make(map[string]Benchmark, len(bs))
-	for _, b := range bs {
-		byName[b.Name] = b
-	}
-	var out []ParallelSpeedup
-	for _, b := range bs {
-		base, ok := strings.CutSuffix(b.Name, "Parallel")
-		if !ok || b.NsPerOp <= 0 {
-			continue
-		}
-		skip, ok := byName[base]
-		if !ok {
-			continue
-		}
-		out = append(out, ParallelSpeedup{
-			Benchmark:  base,
-			SkipNs:     skip.NsPerOp,
-			ParallelNs: b.NsPerOp,
-			Speedup:    skip.NsPerOp / b.NsPerOp,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Benchmark < out[j].Benchmark })
-	return out
-}
-
 // deriveTwinSpeedups pairs every FooTwin benchmark with its Foo
 // counterpart and reports skip-time / twin-time.
 func deriveTwinSpeedups(bs []Benchmark) []TwinSpeedup {
@@ -363,60 +318,19 @@ func parseGates(s string) ([]gateSpec, error) {
 	return out, nil
 }
 
-// renderScaling prints the record's parallel-engine shard-scaling
-// curve — the .../shards=N sub-benchmarks plus the Foo/FooParallel
-// engine speedups — as a markdown section for results_all.md.
+// renderScaling prints the record's twin-vs-skip engine speedups as a
+// markdown section for results_all.md; a record without twin pairs
+// renders nothing.
 func renderScaling(w io.Writer, rec *Record) {
-	type point struct {
-		shards int
-		ns     float64
-	}
-	curves := map[string][]point{}
-	var parents []string
-	for _, b := range rec.Benchmarks {
-		parent, sub, ok := strings.Cut(b.Name, "/shards=")
-		if !ok {
-			continue
-		}
-		n, err := strconv.Atoi(sub)
-		if err != nil {
-			continue
-		}
-		if _, seen := curves[parent]; !seen {
-			parents = append(parents, parent)
-		}
-		curves[parent] = append(curves[parent], point{n, b.NsPerOp})
-	}
-	if len(parents) == 0 && len(rec.ParallelVsSkip) == 0 && len(rec.TwinVsSkip) == 0 {
+	if len(rec.TwinVsSkip) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "\n## Parallel-engine scaling (%s, %s/%s, %s)\n\n",
+	fmt.Fprintf(w, "\n## Engine speed (%s, %s/%s, %s)\n",
 		name(rec, "bench record"), rec.GOOS, rec.GOARCH, rec.GoVersion)
-	fmt.Fprintf(w, "Output is byte-identical at every shard count; only wall time moves.\n")
-	if rec.MaxProcs == 1 {
-		fmt.Fprintf(w, "\nRecorded on a 1-CPU container (GOMAXPROCS=1): every shard shares one\ncore, so speedups at or below 1x are the expected shape — the curve\nchecks barrier overhead here, not parallelism.\n")
-	}
-	for _, parent := range parents {
-		pts := curves[parent]
-		sort.Slice(pts, func(i, j int) bool { return pts[i].shards < pts[j].shards })
-		fmt.Fprintf(w, "\n### %s\n\n| shards | ms/op | vs 1 shard |\n|---:|---:|---:|\n", parent)
-		base := pts[0].ns
-		for _, p := range pts {
-			fmt.Fprintf(w, "| %d | %.0f | %.2fx |\n", p.shards, p.ns/1e6, base/p.ns)
-		}
-	}
-	if len(rec.ParallelVsSkip) > 0 {
-		fmt.Fprintf(w, "\n### Parallel engine vs sequential skip-ahead\n\n| benchmark | skip ms/op | parallel ms/op | speedup |\n|---|---:|---:|---:|\n")
-		for _, s := range rec.ParallelVsSkip {
-			fmt.Fprintf(w, "| %s | %.0f | %.0f | %.2fx |\n", s.Benchmark, s.SkipNs/1e6, s.ParallelNs/1e6, s.Speedup)
-		}
-	}
-	if len(rec.TwinVsSkip) > 0 {
-		fmt.Fprintf(w, "\n### Twin engine vs sequential skip-ahead\n\nTwin answers are analytical approximations inside recorded error\nbounds, not byte-identical results — this speedup is what those\nbounds buy.\n")
-		fmt.Fprintf(w, "\n| benchmark | skip ms/op | twin µs/op | speedup |\n|---|---:|---:|---:|\n")
-		for _, s := range rec.TwinVsSkip {
-			fmt.Fprintf(w, "| %s | %.1f | %.0f | %.0fx |\n", s.Benchmark, s.SkipNs/1e6, s.TwinNs/1e3, s.Speedup)
-		}
+	fmt.Fprintf(w, "\n### Twin engine vs sequential skip-ahead\n\nTwin answers are analytical approximations inside recorded error\nbounds, not byte-identical results — this speedup is what those\nbounds buy.\n")
+	fmt.Fprintf(w, "\n| benchmark | skip ms/op | twin µs/op | speedup |\n|---|---:|---:|---:|\n")
+	for _, s := range rec.TwinVsSkip {
+		fmt.Fprintf(w, "| %s | %.1f | %.0f | %.0fx |\n", s.Benchmark, s.SkipNs/1e6, s.TwinNs/1e3, s.Speedup)
 	}
 }
 
@@ -481,12 +395,6 @@ func compareFiles(w io.Writer, oldPath, newPath string, gates []gateSpec) error 
 	if len(newRec.DenseVsSkip) > 0 {
 		fmt.Fprintf(w, "\ndense-engine vs skip-ahead (new record):\n")
 		for _, s := range newRec.DenseVsSkip {
-			fmt.Fprintf(w, "%-42s %.2fx\n", s.Benchmark, s.Speedup)
-		}
-	}
-	if len(newRec.ParallelVsSkip) > 0 {
-		fmt.Fprintf(w, "\nparallel engine vs skip-ahead (new record):\n")
-		for _, s := range newRec.ParallelVsSkip {
 			fmt.Fprintf(w, "%-42s %.2fx\n", s.Benchmark, s.Speedup)
 		}
 	}

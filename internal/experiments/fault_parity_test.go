@@ -63,7 +63,7 @@ func TestFaultedDenseSkipParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	denseRes, err := runner.New(runner.Options{DenseEngine: true, DisableKernelCache: true}).Run(ctx, cells)
+	denseRes, err := runner.New(runner.Options{Engine: runner.EngineDense, DisableKernelCache: true}).Run(ctx, cells)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,13 +37,11 @@ func runWithObs(t *testing.T, c runner.Cell, dense bool) (*obs.CollectSink, *sta
 	t.Helper()
 	sink := &obs.CollectSink{}
 	smp := stats.NewSampler(256)
-	eng := runner.New(runner.Options{
-		DenseEngine:        dense,
-		TraceSink:          sink,
-		Sampler:            smp,
-		DisableKernelCache: true,
-	})
-	if _, err := eng.Run(context.Background(), []runner.Cell{c}); err != nil {
+	opts := runner.Options{TraceSink: sink, Sampler: smp, DisableKernelCache: true}
+	if dense {
+		opts.Engine = runner.EngineDense
+	}
+	if _, err := runner.New(opts).Run(context.Background(), []runner.Cell{c}); err != nil {
 		t.Fatal(err)
 	}
 	return sink, smp

@@ -97,63 +97,43 @@ func TestWarmCacheSurvivesReopen(t *testing.T) {
 	}
 }
 
-// TestCellCacheEngineShardParity is the parity gate the cache key
-// design leans on: the engine name is part of the key (per the store's
-// contract), but results themselves must be engine- and
-// shard-independent — a warm rerun at any shard count is byte-identical
-// to the cold run at any other, and the skip/dense/parallel engines
-// produce identical cached tables.
-func TestCellCacheEngineShardParity(t *testing.T) {
+// TestCellCacheEngineParity is the parity gate the cache key design
+// leans on: the engine name is part of the key (per the store's
+// contract), but results themselves must be engine-independent — the
+// skip and dense engines produce identical cached tables, and a dense
+// rerun against a skip-warmed cache simulates every cell (the engines
+// never answer for each other) and still renders the same bytes.
+func TestCellCacheEngineParity(t *testing.T) {
 	cfg := config.Default()
-	type variant struct {
-		name string
-		opts runner.Options
-	}
-	variants := []variant{
-		{"skip", runner.Options{}},
-		{"dense", runner.Options{DenseEngine: true}},
-		{"parallel-1", runner.Options{ParallelEngine: true, ParallelShards: 1}},
-		{"parallel-4", runner.Options{ParallelEngine: true, ParallelShards: 4}},
-	}
-	var ref *Table
-	for _, v := range variants {
-		o := v.opts
-		cache, err := rcache.Open(t.TempDir(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o.ResultCache = cache
-		tab, err := RunEngine(context.Background(), runner.New(o), "fig5", cfg, cacheTestScale)
-		if err != nil {
-			t.Fatalf("%s: %v", v.name, err)
-		}
-		if ref == nil {
-			ref = tab
-			continue
-		}
-		if tab.Markdown() != ref.Markdown() {
-			t.Fatalf("%s table differs from %s:\n%s\nvs\n%s", v.name, variants[0].name, tab.Markdown(), ref.Markdown())
-		}
-		if !reflect.DeepEqual(tab.Rows, ref.Rows) {
-			t.Fatalf("%s rows differ from %s", v.name, variants[0].name)
-		}
-	}
-	// Shard-independence of the key itself: warm a cache at 4 shards,
-	// rerun at 2 — still zero simulations.
 	cache, err := rcache.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := runner.New(runner.Options{ParallelEngine: true, ParallelShards: 4, ResultCache: cache})
-	if _, err := RunEngine(context.Background(), cold, "fig5", cfg, cacheTestScale); err != nil {
+	skip := runner.New(runner.Options{ResultCache: cache})
+	ref, err := RunEngine(context.Background(), skip, "fig5", cfg, cacheTestScale)
+	if err != nil {
 		t.Fatal(err)
 	}
-	warm := runner.New(runner.Options{ParallelEngine: true, ParallelShards: 2, ResultCache: cache})
+	dense := runner.New(runner.Options{Engine: runner.EngineDense, ResultCache: cache})
+	tab, err := RunEngine(context.Background(), dense, "fig5", cfg, cacheTestScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.Markdown() != ref.Markdown() {
+		t.Fatalf("dense table differs from skip:\n%s\nvs\n%s", tab.Markdown(), ref.Markdown())
+	}
+	if !reflect.DeepEqual(tab.Rows, ref.Rows) {
+		t.Fatal("dense rows differ from skip")
+	}
+	if n, want := dense.Simulated(), skip.Simulated(); n != want || n == 0 {
+		t.Fatalf("dense run over a skip-warmed cache simulated %d cells, want all %d", n, want)
+	}
+	warm := runner.New(runner.Options{Engine: runner.EngineDense, ResultCache: cache})
 	if _, err := RunEngine(context.Background(), warm, "fig5", cfg, cacheTestScale); err != nil {
 		t.Fatal(err)
 	}
 	if n := warm.Simulated(); n != 0 {
-		t.Fatalf("2-shard rerun of a 4-shard-warmed cache simulated %d cells, want 0", n)
+		t.Fatalf("dense rerun of a dense-warmed cache simulated %d cells, want 0", n)
 	}
 }
 

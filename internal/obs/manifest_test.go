@@ -45,7 +45,7 @@ func TestManifestJSONRoundTrip(t *testing.T) {
 		BytesPerChannel: 128 << 10,
 		HostBaseline:    false,
 		ConfigHash:      ConfigHash(config.Default()),
-		Engine:          EngineName(false, false),
+		Engine:          EngineName(false),
 		WallMS:          12.5,
 		GoVersion:       "go1.24.0",
 	}
@@ -59,19 +59,11 @@ func TestManifestJSONRoundTrip(t *testing.T) {
 }
 
 func TestEngineName(t *testing.T) {
-	cases := []struct {
-		dense, parallel bool
-		want            string
-	}{
-		{false, false, "skip"},
-		{true, false, "dense"},
-		{false, true, "parallel"},
-		{true, true, "dense"}, // dense wins; the runner rejects the combination upstream
+	if got := EngineName(false); got != "skip" {
+		t.Errorf("EngineName(false) = %s, want skip", got)
 	}
-	for _, c := range cases {
-		if got := EngineName(c.dense, c.parallel); got != c.want {
-			t.Errorf("EngineName(%v, %v) = %s, want %s", c.dense, c.parallel, got, c.want)
-		}
+	if got := EngineName(true); got != "dense" {
+		t.Errorf("EngineName(true) = %s, want dense", got)
 	}
 }
 

@@ -20,6 +20,11 @@ var (
 	// simulator configuration.
 	ErrInvalidSpec = errors.New("invalid specification")
 
+	// ErrRequestTooLarge reports a daemon request whose body exceeds
+	// the server's fixed size cap; the daemon refuses it before decoding
+	// rather than buffering an unbounded body.
+	ErrRequestTooLarge = errors.New("request body too large")
+
 	// ErrCanceled reports a run abandoned because its context was
 	// canceled or timed out before every cell completed.
 	ErrCanceled = errors.New("run canceled")

@@ -151,7 +151,7 @@ func (e *Engine) DurabilityErrors() int64 { return e.durabilityErrs.Load() }
 // scratch (or from its last on-disk checkpoint when resume is on) after
 // an exponential backoff.
 func (e *Engine) runCellRetry(ctx context.Context, c *Cell, journal *ckpt.Journal) (Result, error) {
-	if e.twinEng {
+	if e.engine == EngineTwin {
 		res, err := e.runTwinCell(c)
 		if err == nil {
 			return res, nil

@@ -291,7 +291,7 @@ func TestResumeRefusesEngineMismatch(t *testing.T) {
 	}
 	// The checkpoint was written by the skip engine; resuming on the
 	// dense engine must be refused, not silently diverge.
-	_, err := New(Options{CheckpointDir: dir, Resume: true, DenseEngine: true}).Run(ctx, cells)
+	_, err := New(Options{CheckpointDir: dir, Resume: true, Engine: EngineDense}).Run(ctx, cells)
 	if !errors.Is(err, olerrors.ErrCheckpointMismatch) {
 		t.Fatalf("engine-mismatch resume error = %v, want ErrCheckpointMismatch", err)
 	}

@@ -103,22 +103,10 @@ type Options struct {
 	// regenerates its kernel image from scratch).
 	DisableKernelCache bool
 
-	// DenseEngine runs every cell on the naive dense tick engine instead
-	// of the quiescence skip-ahead one. Results are byte-identical; the
-	// dense engine is the parity reference and a debugging escape hatch.
-	DenseEngine bool
-
-	// ParallelEngine runs every cell on the intra-run parallel engine:
-	// skip-ahead clocking with each fired edge's per-channel work sharded
-	// across goroutines and merged deterministically. Results are
-	// byte-identical to the other engines. Mutually exclusive with
-	// DenseEngine.
-	ParallelEngine bool
-
-	// ParallelShards caps the parallel engine's shard count; <= 0 picks
-	// min(GOMAXPROCS, channels). Only meaningful with ParallelEngine;
-	// results are byte-identical for every value.
-	ParallelShards int
+	// Engine selects how cells are answered: the skip-ahead cycle engine
+	// (the zero value), the dense parity reference, or the calibrated
+	// twin. Results of the two cycle engines are byte-identical.
+	Engine EngineKind
 
 	// TraceSink, when set, streams every machine event (stage crossings,
 	// DRAM commands, warp stalls, skip credits) from the run into the
@@ -177,21 +165,13 @@ type Options struct {
 	// samplers, deterministic halts).
 	ResultCache *rcache.Cache
 
-	// TwinEngine answers every cell from the calibrated analytical twin
-	// instead of simulating: microsecond approximate answers with a
-	// recorded error bound, never functionally verified. Requires Twin.
-	// Mutually exclusive with the cycle engines and with every option
-	// that observes or steers a real simulation (trace sinks, samplers,
-	// halts, checkpoints).
-	TwinEngine bool
-
 	// Twin is the calibration the twin engine answers from.
 	Twin *twin.Predictor
 
 	// TwinEscalate re-runs any cell the twin declines
 	// (twin.ErrOutOfConfidence) on the skip-ahead cycle engine instead
 	// of failing it. The escalated cell is byte-identical to a direct
-	// cycle-engine run. Only meaningful with TwinEngine.
+	// cycle-engine run. Only meaningful with EngineTwin.
 	TwinEscalate bool
 
 	// FS is the filesystem checkpoints and the progress journal write
@@ -202,15 +182,30 @@ type Options struct {
 	FS chaos.FS
 }
 
+// EngineKind selects the engine an Engine answers cells with.
+type EngineKind uint8
+
+const (
+	// EngineSkip runs cells on the quiescence skip-ahead cycle engine.
+	EngineSkip EngineKind = iota
+	// EngineDense runs cells on the naive dense tick engine: the parity
+	// reference and a debugging escape hatch, byte-identical to skip.
+	EngineDense
+	// EngineTwin answers every cell from the calibrated analytical twin
+	// instead of simulating: microsecond approximate answers with a
+	// recorded error bound, never functionally verified. Requires Twin,
+	// and conflicts with every option that observes or steers a real
+	// simulation (trace sinks, samplers, halts, checkpoints).
+	EngineTwin
+)
+
 // Engine executes cell lists. An Engine is safe for concurrent use and
 // its kernel cache persists across Run calls, so one engine should
 // serve a whole sweep.
 type Engine struct {
 	par      int
 	progress func(done, total int)
-	dense    bool
-	parallel bool
-	shards   int
+	engine   EngineKind
 	cache    *kernelCache
 	sink     obs.Sink
 	sampler  *stats.Sampler
@@ -223,7 +218,6 @@ type Engine struct {
 	cellTO    time.Duration
 	haltAfter int64
 	rcache    *rcache.Cache
-	twinEng   bool
 	twin      *twin.Predictor
 	twinEsc   bool
 	fs        chaos.FS
@@ -249,9 +243,7 @@ func New(opts Options) *Engine {
 	e := &Engine{
 		par:       opts.Parallelism,
 		progress:  opts.Progress,
-		dense:     opts.DenseEngine,
-		parallel:  opts.ParallelEngine,
-		shards:    opts.ParallelShards,
+		engine:    opts.Engine,
 		sink:      opts.TraceSink,
 		sampler:   opts.Sampler,
 		manifest:  opts.Manifest,
@@ -262,7 +254,6 @@ func New(opts Options) *Engine {
 		cellTO:    opts.CellTimeout,
 		haltAfter: opts.HaltAfterCycles,
 		rcache:    opts.ResultCache,
-		twinEng:   opts.TwinEngine,
 		twin:      opts.Twin,
 		twinEsc:   opts.TwinEscalate,
 		fs:        opts.FS,
@@ -292,20 +283,11 @@ func (e *Engine) CacheStats() (hits, misses int64) {
 // context yields an error wrapping olerrors.ErrCanceled unless a
 // non-cancellation failure happened first.
 func (e *Engine) Run(ctx context.Context, cells []Cell) ([]Result, error) {
-	if e.dense && e.parallel {
-		// Name both options, like the single-cell guards below: the caller
-		// must drop WithDenseEngine or WithParallelEngine, not guess.
-		return nil, fmt.Errorf("runner: %w: WithDenseEngine and WithParallelEngine pick conflicting engines; choose one of -engine=dense|skip|parallel",
-			olerrors.ErrInvalidSpec)
-	}
-	if e.twinEng {
+	if e.engine == EngineTwin {
 		// The twin is an approximation, not a simulation: every option
 		// that observes or steers a real run is meaningless under it and
 		// silently wrong to ignore, so each conflict is named and refused.
 		switch {
-		case e.dense || e.parallel:
-			return nil, fmt.Errorf("runner: %w: TwinEngine conflicts with the dense/parallel cycle engines; choose one of -engine=twin|dense|skip|parallel",
-				olerrors.ErrInvalidSpec)
 		case e.sink != nil:
 			return nil, fmt.Errorf("runner: %w: WithTraceSink needs a real simulation; the twin engine produces no events",
 				olerrors.ErrInvalidSpec)
@@ -319,7 +301,7 @@ func (e *Engine) Run(ctx context.Context, cells []Cell) ([]Result, error) {
 			return nil, fmt.Errorf("runner: %w: checkpoints journal cycle-engine progress; twin answers must not masquerade as simulated cells",
 				olerrors.ErrInvalidSpec)
 		case e.twin == nil:
-			return nil, fmt.Errorf("runner: %w: TwinEngine needs a calibration (Options.Twin / WithTwin)",
+			return nil, fmt.Errorf("runner: %w: EngineTwin needs a calibration (Options.Twin / WithTwin)",
 				olerrors.ErrInvalidSpec)
 		}
 	}
@@ -484,6 +466,11 @@ func (e *Engine) tick(total int) {
 	e.progress(e.done, total)
 }
 
+// cycleEngineName names the cycle engine that simulates this engine's
+// cells, for manifests, checkpoint metadata and cache keys. A twin
+// engine escalates to skip-ahead, so it simulates under "skip".
+func (e *Engine) cycleEngineName() string { return obs.EngineName(e.engine == EngineDense) }
+
 // runCell executes one simulation with panic recovery. stop, when
 // non-nil, is the cooperative abort flag the watchdog and cancellation
 // paths set; the machine polls it between engine steps.
@@ -523,11 +510,8 @@ func (e *Engine) runCell(c *Cell, hash string, stop *atomic.Bool) (res Result, e
 	if c.Traffic.PerChannel > 0 {
 		m.SetHostTraffic(c.Traffic)
 	}
-	if e.dense {
+	if e.engine == EngineDense {
 		m.SetDense(true)
-	}
-	if e.parallel {
-		m.SetParallel(e.shards)
 	}
 	if e.sink != nil {
 		m.SetSink(e.sink)
@@ -548,7 +532,7 @@ func (e *Engine) runCell(c *Cell, hash string, stop *atomic.Bool) (res Result, e
 		path := e.ckptPath(hash)
 		meta := ckpt.Meta{
 			CellHash: hash, Cell: c.Key, Kernel: c.Spec.Name,
-			ConfigHash: obs.ConfigHash(c.Cfg), Engine: obs.EngineName(e.dense, e.parallel),
+			ConfigHash: obs.ConfigHash(c.Cfg), Engine: e.cycleEngineName(),
 			Seed: c.Cfg.Run.Seed, Bytes: c.Bytes, Fault: c.Fault.String(),
 			Host: c.Host, Traffic: c.Traffic.PerChannel > 0,
 		}
@@ -625,7 +609,7 @@ func (e *Engine) newManifest(c *Cell, wallMS float64) *obs.Manifest {
 		BytesPerChannel: c.Bytes,
 		HostBaseline:    c.Host,
 		ConfigHash:      obs.ConfigHash(c.Cfg),
-		Engine:          obs.EngineName(e.dense, e.parallel),
+		Engine:          e.cycleEngineName(),
 		WallMS:          wallMS,
 		GoVersion:       runtime.Version(),
 	}

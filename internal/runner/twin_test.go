@@ -82,39 +82,29 @@ func TestTwinEngineGuards(t *testing.T) {
 		want string
 	}{
 		{
-			name: "dense conflict",
-			opts: Options{TwinEngine: true, Twin: pred, DenseEngine: true},
-			want: "-engine=twin|dense|skip|parallel",
-		},
-		{
-			name: "parallel conflict",
-			opts: Options{TwinEngine: true, Twin: pred, ParallelEngine: true},
-			want: "-engine=twin|dense|skip|parallel",
-		},
-		{
 			name: "trace sink",
-			opts: Options{TwinEngine: true, Twin: pred, TraceSink: obs.NewPerfettoSink(io.Discard)},
+			opts: Options{Engine: EngineTwin, Twin: pred, TraceSink: obs.NewPerfettoSink(io.Discard)},
 			want: "no events",
 		},
 		{
 			name: "sampler",
-			opts: Options{TwinEngine: true, Twin: pred, Sampler: stats.NewSampler(100)},
+			opts: Options{Engine: EngineTwin, Twin: pred, Sampler: stats.NewSampler(100)},
 			want: "no time-series",
 		},
 		{
 			name: "halt",
-			opts: Options{TwinEngine: true, Twin: pred, HaltAfterCycles: 100},
+			opts: Options{Engine: EngineTwin, Twin: pred, HaltAfterCycles: 100},
 			want: "WithHaltAfter",
 		},
 		{
 			name: "checkpoints",
-			opts: Options{TwinEngine: true, Twin: pred, CheckpointDir: t.TempDir()},
+			opts: Options{Engine: EngineTwin, Twin: pred, CheckpointDir: t.TempDir()},
 			want: "checkpoints journal cycle-engine progress",
 		},
 		{
 			name: "nil calibration",
-			opts: Options{TwinEngine: true},
-			want: "TwinEngine needs a calibration",
+			opts: Options{Engine: EngineTwin},
+			want: "EngineTwin needs a calibration",
 		},
 	}
 	for _, tc := range tests {
@@ -146,7 +136,7 @@ func TestTwinEngineAnswersGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(Options{TwinEngine: true, Twin: pred, Manifest: true})
+	eng := New(Options{Engine: EngineTwin, Twin: pred, Manifest: true})
 	res, err := eng.Run(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +176,7 @@ func TestTwinEscalation(t *testing.T) {
 	// so the twin must decline this cell.
 	cells[1].Bytes = 32 << 10
 
-	_, err := New(Options{TwinEngine: true, Twin: pred}).Run(context.Background(), cells)
+	_, err := New(Options{Engine: EngineTwin, Twin: pred}).Run(context.Background(), cells)
 	if !errors.Is(err, twin.ErrOutOfConfidence) {
 		t.Fatalf("out-of-range cell returned %v, want twin.ErrOutOfConfidence", err)
 	}
@@ -199,7 +189,7 @@ func TestTwinEscalation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	esc, err := New(Options{TwinEngine: true, Twin: pred, TwinEscalate: true, Manifest: true}).
+	esc, err := New(Options{Engine: EngineTwin, Twin: pred, TwinEscalate: true, Manifest: true}).
 		Run(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +224,7 @@ func TestTwinCellDeclines(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cells := testCells(t)
 			tc.mutate(&cells[0])
-			_, err := New(Options{TwinEngine: true, Twin: pred}).Run(context.Background(), cells)
+			_, err := New(Options{Engine: EngineTwin, Twin: pred}).Run(context.Background(), cells)
 			if !errors.Is(err, twin.ErrOutOfConfidence) {
 				t.Errorf("got %v, want twin.ErrOutOfConfidence", err)
 			}
@@ -252,11 +242,11 @@ func TestTwinCacheHitManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Options{TwinEngine: true, Twin: pred, ResultCache: cache}).
+	if _, err := New(Options{Engine: EngineTwin, Twin: pred, ResultCache: cache}).
 		Run(context.Background(), cells); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := New(Options{TwinEngine: true, Twin: pred, ResultCache: cache, Manifest: true}).
+	warm, err := New(Options{Engine: EngineTwin, Twin: pred, ResultCache: cache, Manifest: true}).
 		Run(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +281,7 @@ func TestTwinCacheDomainSeparation(t *testing.T) {
 	}
 
 	// Populate the cache with twin answers first.
-	tw := New(Options{TwinEngine: true, Twin: pred, ResultCache: cache})
+	tw := New(Options{Engine: EngineTwin, Twin: pred, ResultCache: cache})
 	first, err := tw.Run(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +304,7 @@ func TestTwinCacheDomainSeparation(t *testing.T) {
 	}
 
 	// A warm twin rerun is served from the twin domain, identically.
-	tw2 := New(Options{TwinEngine: true, Twin: pred, ResultCache: cache})
+	tw2 := New(Options{Engine: EngineTwin, Twin: pred, ResultCache: cache})
 	warm, err := tw2.Run(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)

@@ -86,10 +86,7 @@ func Execute(ctx context.Context, req *JobRequest) (*JobResult, error) {
 		Parallelism:        o.Parallelism,
 		Progress:           o.Progress,
 		DisableKernelCache: o.NoKernelCache,
-		DenseEngine:        o.Dense || o.Engine == "dense",
-		ParallelEngine:     o.Engine == "parallel",
-		ParallelShards:     o.Shards,
-		TwinEngine:         o.Engine == "twin",
+		Engine:             o.runnerEngine(),
 		Twin:               pred,
 		TwinEscalate:       o.Escalate,
 		TraceSink:          o.Sink,
@@ -158,4 +155,17 @@ func singleSpec(req *JobRequest) (kernel.Spec, error) {
 		return kernel.ByName(req.Kernel)
 	}
 	return *req.Spec, nil
+}
+
+// runnerEngine maps the engine selection onto the runner's engine
+// value; the Dense wire flag is shorthand for engine "dense". Validate
+// has already refused unknown names and conflicting selections.
+func (o *RunOpts) runnerEngine() runner.EngineKind {
+	switch {
+	case o.Dense || o.Engine == "dense":
+		return runner.EngineDense
+	case o.Engine == "twin":
+		return runner.EngineTwin
+	}
+	return runner.EngineSkip
 }

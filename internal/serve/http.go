@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 
@@ -14,6 +15,13 @@ import (
 // Version identifies the wire protocol the daemon speaks. Bump it when
 // the request or result schema changes incompatibly.
 const Version = "v1"
+
+// maxRequestBody caps the submit, lease and heartbeat request bodies.
+// A job request is a config plus options — kilobytes — so 1 MiB leaves
+// ample headroom while bounding what one request can make the daemon
+// buffer. /v1/work/complete is not capped: its size grows with the
+// coordinator's lease chunk.
+const maxRequestBody = 1 << 20
 
 // VersionInfo is the /v1/version payload.
 type VersionInfo struct {
@@ -43,8 +51,9 @@ type Drainer interface {
 //	GET    /v1/version          protocol + toolchain versions
 //
 // Admission failures map to 429 (queue full, tenant quota) and 503
-// (draining), both with Retry-After; bad requests to 400; unknown jobs
-// to 404; premature result fetches to 409. Every error body is
+// (draining), both with Retry-After; bad requests to 400; bodies over
+// maxRequestBody to 413; unknown jobs to 404; premature result fetches
+// to 409. Every error body is
 // {"error": {"code", "message"}} with the code from the shared wire
 // taxonomy, so clients rebuild errors.Is-compatible errors.
 func NewHandler(svc Service) http.Handler {
@@ -86,6 +95,8 @@ func writeError(w http.ResponseWriter, err error) {
 		status = http.StatusNotFound
 	case errors.Is(err, ErrNotFinished):
 		status = http.StatusConflict
+	case errors.Is(err, olerrors.ErrRequestTooLarge):
+		status = http.StatusRequestEntityTooLarge
 	case errors.Is(err, olerrors.ErrUnknownKernel),
 		errors.Is(err, olerrors.ErrUnknownExperiment),
 		errors.Is(err, olerrors.ErrInvalidSpec):
@@ -102,12 +113,29 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// decodeCapped decodes a JSON request body of at most maxRequestBody
+// bytes into v, refusing unknown fields. An oversize body is
+// ErrRequestTooLarge; any other decode failure is ErrInvalidSpec naming
+// what was malformed; it still matches io.EOF for an empty body, so
+// callers whose body is optional can tell that case apart.
+func decodeCapped(w http.ResponseWriter, r *http.Request, what string, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return nil
+	case errors.As(err, &tooBig):
+		return fmt.Errorf("serve: %w: %s exceeds %d bytes", olerrors.ErrRequestTooLarge, what, tooBig.Limit)
+	}
+	return fmt.Errorf("serve: %w: malformed %s: %w", olerrors.ErrInvalidSpec, what, err)
+}
+
 func (h *handler) submit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, fmt.Errorf("serve: %w: malformed job request: %v", olerrors.ErrInvalidSpec, err))
+	if err := decodeCapped(w, r, "job request", &req); err != nil {
+		writeError(w, err)
 		return
 	}
 	id, err := h.svc.Submit(r.Context(), req)
@@ -201,14 +229,18 @@ func (h *handler) workProvider(w http.ResponseWriter) (WorkProvider, bool) {
 }
 
 // workLease answers a fabric worker's poll: 200 with a lease, or 204
-// when nothing is pending right now.
+// when nothing is pending right now. An empty body is an anonymous
+// worker.
 func (h *handler) workLease(w http.ResponseWriter, r *http.Request) {
 	wp, ok := h.workProvider(w)
 	if !ok {
 		return
 	}
 	var req WorkLeaseRequest
-	_ = json.NewDecoder(r.Body).Decode(&req) // empty body = anonymous worker
+	if err := decodeCapped(w, r, "work lease", &req); err != nil && !errors.Is(err, io.EOF) {
+		writeError(w, err)
+		return
+	}
 	l, err := wp.LeaseWork(r.Context(), req.Worker)
 	if err != nil {
 		writeError(w, err)
@@ -249,10 +281,8 @@ func (h *handler) workHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var hb WorkHeartbeat
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&hb); err != nil {
-		writeError(w, fmt.Errorf("serve: %w: malformed work heartbeat: %v", olerrors.ErrInvalidSpec, err))
+	if err := decodeCapped(w, r, "work heartbeat", &hb); err != nil {
+		writeError(w, err)
 		return
 	}
 	held, err := wp.HeartbeatWork(r.Context(), hb)

@@ -246,16 +246,76 @@ func TestHandlerHealthzAndVersion(t *testing.T) {
 
 func TestHandlerMalformedBody(t *testing.T) {
 	_, client := newFakeServer(t)
-	resp, err := http.Post(client.base+"/v1/jobs", "application/json", strings.NewReader("{not json"))
+	status, je := postRaw(t, client.base, "/v1/jobs", "{not json")
+	if status != http.StatusBadRequest || je == nil || je.Code != "invalid-spec" {
+		t.Fatalf("malformed body: status %d, envelope %+v; want 400 invalid-spec", status, je)
+	}
+}
+
+// postRaw posts body to path on the handler and decodes the error
+// envelope, if any.
+func postRaw(t *testing.T, base, path, body string) (int, *JobError) {
+	t.Helper()
+	resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed body status = %d, want 400", resp.StatusCode)
-	}
 	var eb errorBody
-	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error == nil || eb.Error.Code != "invalid-spec" {
-		t.Fatalf("malformed body envelope = %+v (err %v)", eb, err)
+	_ = json.NewDecoder(resp.Body).Decode(&eb)
+	return resp.StatusCode, eb.Error
+}
+
+// TestHandlerBodyCap: submit, lease and heartbeat bodies over the fixed
+// cap are refused with 413 and a sentinel that survives the client.
+func TestHandlerBodyCap(t *testing.T) {
+	svc := NewLocal(LocalConfig{Fabric: true})
+	defer svc.Close()
+	srv := httptest.NewServer(NewHandler(svc))
+	defer srv.Close()
+	client := NewClient(srv.URL, srv.Client())
+
+	huge := kernelReq("add")
+	huge.Tenant = strings.Repeat("x", maxRequestBody)
+	if _, err := client.Submit(context.Background(), huge); !errors.Is(err, olerrors.ErrRequestTooLarge) {
+		t.Fatalf("Submit(oversize) = %v, want ErrRequestTooLarge", err)
+	}
+
+	pad := strings.Repeat("x", maxRequestBody)
+	for path, body := range map[string]string{
+		"/v1/jobs":           `{"kind":"kernel","kernel":"add","tenant":"` + pad + `"}`,
+		"/v1/work/lease":     `{"worker":"` + pad + `"}`,
+		"/v1/work/heartbeat": `{"job":"j","lease":"` + pad + `"}`,
+	} {
+		status, je := postRaw(t, srv.URL, path, body)
+		if status != http.StatusRequestEntityTooLarge || je == nil || je.Code != "request-too-large" {
+			t.Errorf("%s oversize: status %d, envelope %+v; want 413 request-too-large", path, status, je)
+		}
+	}
+
+	// A body under the cap is decoded as before.
+	if status, je := postRaw(t, srv.URL, "/v1/work/heartbeat", `{"job":"j","lease":"l"}`); status != http.StatusOK {
+		t.Errorf("small heartbeat: status %d, envelope %+v; want 200", status, je)
+	}
+}
+
+// TestHandlerWorkLeaseBody: an empty lease body is an anonymous worker,
+// but a malformed one is refused instead of silently treated as empty.
+func TestHandlerWorkLeaseBody(t *testing.T) {
+	svc := NewLocal(LocalConfig{Fabric: true})
+	defer svc.Close()
+	srv := httptest.NewServer(NewHandler(svc))
+	defer srv.Close()
+
+	for _, body := range []string{"", `{"worker":"w1"}`} {
+		if status, je := postRaw(t, srv.URL, "/v1/work/lease", body); status != http.StatusNoContent {
+			t.Errorf("lease %q: status %d, envelope %+v; want 204 (idle)", body, status, je)
+		}
+	}
+	for _, body := range []string{"{not json", `{"worker":7}`, `{"wrker":"w1"}`} {
+		status, je := postRaw(t, srv.URL, "/v1/work/lease", body)
+		if status != http.StatusBadRequest || je == nil || je.Code != "invalid-spec" {
+			t.Errorf("lease %q: status %d, envelope %+v; want 400 invalid-spec", body, status, je)
+		}
 	}
 }

@@ -100,49 +100,25 @@ func twinKernelReq(t *testing.T, name string) JobRequest {
 // admission gate: every cycle-engine observer/steerer is refused under
 // the twin, and the twin-only knobs are refused without it.
 func TestValidateTwinOptions(t *testing.T) {
-	cases := []struct {
-		name string
-		opts RunOpts
-		want string // "" accepts; otherwise a required substring of the error
-	}{
-		{"twin", RunOpts{Engine: "twin"}, ""},
-		{"twin with calibration", RunOpts{Engine: "twin", Calibration: "cal.olcal"}, ""},
-		{"twin with escalate", RunOpts{Engine: "twin", Escalate: true}, ""},
-		{"twin with predictor", RunOpts{Engine: "twin", TwinPredictor: &twin.Predictor{}}, ""},
-		{"dense flag vs twin", RunOpts{Dense: true, Engine: "twin"}, "conflicts with engine"},
-		{"twin with checkpoints", RunOpts{Engine: "twin", CheckpointDir: "ck"}, "checkpoints journal cycle-engine progress"},
-		{"twin with resume", RunOpts{Engine: "twin", CheckpointDir: "ck", Resume: true}, "checkpoints journal cycle-engine progress"},
-		{"twin with halt", RunOpts{Engine: "twin", HaltAfter: 100}, "no cycles to halt"},
-		{"twin with stream-trace", RunOpts{Engine: "twin", StreamTrace: true}, "no event feed"},
-		{"twin with sampler", RunOpts{Engine: "twin", Sampler: stats.NewSampler(100)}, "no counters to sample"},
-		{"twin with fabric", RunOpts{Engine: "twin", Fabric: true}, "microseconds of local math"},
-		{"calibration without twin", RunOpts{Calibration: "cal.olcal"}, "needs the twin engine"},
-		{"calibration on parallel", RunOpts{Engine: "parallel", Calibration: "cal.olcal"}, "needs the twin engine"},
-		{"escalate without twin", RunOpts{Escalate: true}, "needs the twin engine"},
-		{"predictor without twin", RunOpts{TwinPredictor: &twin.Predictor{}}, "needs the twin engine"},
-		{"shards on twin", RunOpts{Engine: "twin", Shards: 4}, "needs the parallel engine"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			req := JobRequest{Kind: KindKernel, Kernel: "add", Opts: tc.opts}
-			err := req.Validate()
-			if tc.want == "" {
-				if err != nil {
-					t.Fatalf("Validate() = %v, want accept", err)
-				}
-				return
-			}
-			if err == nil {
-				t.Fatalf("Validate() accepted, want error containing %q", tc.want)
-			}
-			if !errors.Is(err, olerrors.ErrInvalidSpec) {
-				t.Errorf("error %v is not classified as ErrInvalidSpec", err)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error %q does not contain %q", err, tc.want)
-			}
-		})
-	}
+	checkAdmission(t, []admissionCase{
+		{name: "twin", opts: RunOpts{Engine: "twin"}},
+		{name: "twin with calibration", opts: RunOpts{Engine: "twin", Calibration: "cal.olcal"}},
+		{name: "twin with escalate", opts: RunOpts{Engine: "twin", Escalate: true}},
+		{name: "twin with predictor", opts: RunOpts{Engine: "twin", TwinPredictor: &twin.Predictor{}}},
+		{name: "dense flag vs twin", opts: RunOpts{Dense: true, Engine: "twin"}, want: "conflicts with engine"},
+		{name: "twin with checkpoints", opts: RunOpts{Engine: "twin", CheckpointDir: "ck"}, want: "checkpoints journal cycle-engine progress"},
+		{name: "twin with resume", opts: RunOpts{Engine: "twin", CheckpointDir: "ck", Resume: true}, want: "checkpoints journal cycle-engine progress"},
+		{name: "twin with halt", opts: RunOpts{Engine: "twin", HaltAfter: 100}, want: "no cycles to halt"},
+		{name: "twin with stream-trace", opts: RunOpts{Engine: "twin", StreamTrace: true}, want: "no event feed"},
+		{name: "twin with sampler", opts: RunOpts{Engine: "twin", Sampler: stats.NewSampler(100)}, want: "no counters to sample"},
+		{name: "twin with fabric", opts: RunOpts{Engine: "twin", Fabric: true}, want: "microseconds of local math"},
+		{name: "calibration without twin", opts: RunOpts{Calibration: "cal.olcal"}, want: "needs the twin engine"},
+		{name: "calibration on dense", opts: RunOpts{Engine: "dense", Calibration: "cal.olcal"}, want: "needs the twin engine"},
+		{name: "calibration on parallel", opts: RunOpts{Engine: "parallel", Calibration: "cal.olcal"}, want: `unknown engine "parallel"`},
+		{name: "escalate without twin", opts: RunOpts{Escalate: true}, want: "needs the twin engine"},
+		{name: "predictor without twin", opts: RunOpts{TwinPredictor: &twin.Predictor{}}, want: "needs the twin engine"},
+		{name: "shards on twin", wire: `{"engine":"twin","shards":4}`, want: `unknown field "shards"`},
+	})
 }
 
 // TestLocalTwinJobs runs twin jobs end to end on the Local service: a

@@ -340,9 +340,7 @@ func workerEngine(req *JobRequest, opts WorkerOptions) (*runner.Engine, error) {
 	return runner.New(runner.Options{
 		Parallelism:        par,
 		DisableKernelCache: o.NoKernelCache,
-		DenseEngine:        o.Dense || o.Engine == "dense",
-		ParallelEngine:     o.Engine == "parallel",
-		ParallelShards:     o.Shards,
+		Engine:             o.runnerEngine(),
 		CellRetries:        o.Retries,
 		CellTimeout:        o.CellTimeout,
 		CheckpointDir:      opts.CheckpointDir,

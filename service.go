@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 
+	"orderlight/internal/olerrors"
 	"orderlight/internal/serve"
 )
 
@@ -77,13 +78,15 @@ const (
 
 // Service-level sentinels, matched with errors.Is like the simulation
 // sentinels above. The daemon maps the first two to HTTP 429, draining
-// to 503, unknown-job to 404 and not-finished to 409.
+// to 503, unknown-job to 404, not-finished to 409, and a request body
+// over its fixed 1 MiB cap to 413.
 var (
-	ErrQueueFull     = serve.ErrQueueFull
-	ErrQuotaExceeded = serve.ErrQuotaExceeded
-	ErrDraining      = serve.ErrDraining
-	ErrUnknownJob    = serve.ErrUnknownJob
-	ErrNotFinished   = serve.ErrNotFinished
+	ErrQueueFull       = serve.ErrQueueFull
+	ErrQuotaExceeded   = serve.ErrQuotaExceeded
+	ErrDraining        = serve.ErrDraining
+	ErrUnknownJob      = serve.ErrUnknownJob
+	ErrNotFinished     = serve.ErrNotFinished
+	ErrRequestTooLarge = olerrors.ErrRequestTooLarge
 )
 
 // NewLocalService creates a production job service and starts its
