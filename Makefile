@@ -22,7 +22,7 @@ CKPT_FUZZTIME ?= 5s
 # sweep-fabric smoke (coordinator + two workers + mid-run SIGKILL), the
 # chaos drill (the same fabric under seeded network+disk fault
 # injection plus a coordinator SIGKILL/restart), a brief run of the
-# checkpoint-decoder fuzzer (crash-safety is a tier-1 property), and
+# durable-envelope decoder fuzzer (crash-safety is a tier-1 property), and
 # the twin-engine envelope gate (check-twin).
 ci: vet build race smoke smoke-serve smoke-fabric smoke-chaos fuzz-ckpt check-twin
 
@@ -247,16 +247,15 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPacketRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/isa
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelSpec$$' -fuzztime $(FUZZTIME) ./internal/kernel
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime $(FUZZTIME) ./internal/runner
-	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) ./internal/ckpt
-	$(GO) test -run '^$$' -fuzz '^FuzzResultCacheDecode$$' -fuzztime $(FUZZTIME) ./internal/rcache
-	$(GO) test -run '^$$' -fuzz '^FuzzCalibrationDecode$$' -fuzztime $(FUZZTIME) ./internal/twin
+	$(GO) test -run '^$$' -fuzz '^FuzzEnvelopeDecode$$' -fuzztime $(FUZZTIME) ./internal/durable
 	$(GO) test -run '^$$' -fuzz '^FuzzChaosPlanDecode$$' -fuzztime $(FUZZTIME) ./internal/chaos
 
-# fuzz-ckpt is the short ci-gate slice of the checkpoint fuzzer: a few
+# fuzz-ckpt is the short ci-gate slice of the durable-envelope fuzzer
+# (checkpoints, result-cache blobs, the twin calibration): a few
 # seconds is enough to replay the committed corpus plus a burst of
 # mutations on every ci run.
 fuzz-ckpt:
-	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(CKPT_FUZZTIME) ./internal/ckpt
+	$(GO) test -run '^$$' -fuzz '^FuzzEnvelopeDecode$$' -fuzztime $(CKPT_FUZZTIME) ./internal/durable
 
 # calibrate regenerates the committed twin calibration artifact from
 # pinned seeds: cycle-engine anchor runs over every Table 2 kernel,

@@ -28,10 +28,10 @@ type FS interface {
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
 	CreateTemp(dir, pattern string) (File, error)
 	ReadFile(name string) ([]byte, error)
-	WriteFile(name string, data []byte, perm os.FileMode) error
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
 	Chmod(name string, mode os.FileMode) error
+	Truncate(name string, size int64) error
 	ReadDir(name string) ([]fs.DirEntry, error)
 }
 
@@ -46,13 +46,11 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 }
 func (osFS) CreateTemp(dir, pattern string) (File, error) { return os.CreateTemp(dir, pattern) }
 func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
-func (osFS) WriteFile(name string, data []byte, perm os.FileMode) error {
-	return os.WriteFile(name, data, perm)
-}
-func (osFS) Rename(oldpath, newpath string) error       { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(name string) error                   { return os.Remove(name) }
-func (osFS) Chmod(name string, mode os.FileMode) error  { return os.Chmod(name, mode) }
-func (osFS) ReadDir(name string) ([]fs.DirEntry, error) { return os.ReadDir(name) }
+func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error                     { return os.Remove(name) }
+func (osFS) Chmod(name string, mode os.FileMode) error    { return os.Chmod(name, mode) }
+func (osFS) Truncate(name string, size int64) error       { return os.Truncate(name, size) }
+func (osFS) ReadDir(name string) ([]fs.DirEntry, error)   { return os.ReadDir(name) }
 
 // NewFS wraps a filesystem with seeded write-path fault injection.
 // Returns base unchanged when the plan has no filesystem class armed.
@@ -76,6 +74,7 @@ func (c *chaosFS) MkdirAll(path string, perm os.FileMode) error { return c.base.
 func (c *chaosFS) ReadFile(name string) ([]byte, error)         { return c.base.ReadFile(name) }
 func (c *chaosFS) Remove(name string) error                     { return c.base.Remove(name) }
 func (c *chaosFS) Chmod(name string, mode os.FileMode) error    { return c.base.Chmod(name, mode) }
+func (c *chaosFS) Truncate(name string, size int64) error       { return c.base.Truncate(name, size) }
 func (c *chaosFS) ReadDir(name string) ([]fs.DirEntry, error)   { return c.base.ReadDir(name) }
 
 func (c *chaosFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
@@ -92,19 +91,6 @@ func (c *chaosFS) CreateTemp(dir, pattern string) (File, error) {
 		return nil, err
 	}
 	return &chaosFile{plan: c.plan, base: f}, nil
-}
-
-func (c *chaosFS) WriteFile(name string, data []byte, perm os.FileMode) error {
-	switch class, _ := c.plan.NextWrite(); class {
-	case ClassENOSPC:
-		return &os.PathError{Op: "write", Path: name, Err: syscall.ENOSPC}
-	case ClassTorn:
-		// Persist a prefix, then fail: the file now holds torn bytes
-		// the caller knows about only because the error said so.
-		c.base.WriteFile(name, data[:len(data)/2], perm)
-		return &os.PathError{Op: "write", Path: name, Err: fmt.Errorf("chaos: torn write: %w", io.ErrShortWrite)}
-	}
-	return c.base.WriteFile(name, data, perm)
 }
 
 func (c *chaosFS) Rename(oldpath, newpath string) error {

@@ -23,20 +23,25 @@ func TestNewFSPassthrough(t *testing.T) {
 func TestFSENOSPC(t *testing.T) {
 	dir := t.TempDir()
 	cfs := NewFS(onePlan(t, ClassENOSPC), OS)
-	path := filepath.Join(dir, "blob")
 
-	if err := cfs.WriteFile(path, []byte("payload"), 0o644); !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("WriteFile err = %v, want ENOSPC", err)
-	}
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("ENOSPC write left a file behind")
-	}
-
-	f, err := cfs.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
+	tmp, err := cfs.CreateTemp(dir, "blob.*.tmp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := f.Write([]byte("payload"))
+	n, err := tmp.Write([]byte("payload"))
+	tmp.Close()
+	if n != 0 || !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("temp Write = %d, %v; want 0, ENOSPC", n, err)
+	}
+	if got, err := os.ReadFile(tmp.Name()); err != nil || len(got) != 0 {
+		t.Fatalf("ENOSPC write persisted %q, %v; want an empty file", got, err)
+	}
+
+	f, err := cfs.OpenFile(filepath.Join(dir, "blob"), os.O_WRONLY|os.O_CREATE, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err = f.Write([]byte("payload"))
 	f.Close()
 	if n != 0 || !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("Write = %d, %v; want 0, ENOSPC", n, err)
@@ -46,19 +51,6 @@ func TestFSENOSPC(t *testing.T) {
 func TestFSTornWrite(t *testing.T) {
 	dir := t.TempDir()
 	cfs := NewFS(onePlan(t, ClassTorn), OS)
-	path := filepath.Join(dir, "blob")
-
-	err := cfs.WriteFile(path, []byte("0123456789"), 0o644)
-	if err == nil {
-		t.Fatal("torn write reported success")
-	}
-	got, rerr := os.ReadFile(path)
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	if string(got) != "01234" {
-		t.Fatalf("torn file holds %q, want the 5-byte prefix", got)
-	}
 
 	f, err := cfs.CreateTemp(dir, "t*")
 	if err != nil {
@@ -68,6 +60,11 @@ func TestFSTornWrite(t *testing.T) {
 	f.Close()
 	if werr == nil || n != 5 {
 		t.Fatalf("file torn write = %d, %v; want 5, error", n, werr)
+	}
+	// The torn file holds the prefix; the caller knows only because the
+	// error said so.
+	if got, err := os.ReadFile(f.Name()); err != nil || string(got) != "01234" {
+		t.Fatalf("torn file holds %q, %v; want the 5-byte prefix", got, err)
 	}
 }
 
@@ -112,7 +109,8 @@ func TestFSRenameRace(t *testing.T) {
 }
 
 // TestFSReadsNeverFaulted pins the read-path contract: a plan with
-// every fs class at rate 1 still reads and lists cleanly.
+// every fs class at rate 1 still reads and lists cleanly, and the
+// metadata operations (mkdir, chmod, truncate, remove) pass through.
 func TestFSReadsNeverFaulted(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "a"), []byte("v"), 0o644); err != nil {
@@ -134,6 +132,9 @@ func TestFSReadsNeverFaulted(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := cfs.Chmod(filepath.Join(dir, "a"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := cfs.Truncate(filepath.Join(dir, "a"), 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := cfs.Remove(filepath.Join(dir, "a")); err != nil {

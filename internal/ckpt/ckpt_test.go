@@ -3,14 +3,17 @@ package ckpt_test
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"orderlight/internal/ckpt"
 	"orderlight/internal/config"
+	"orderlight/internal/durable"
 	"orderlight/internal/gpu"
 	"orderlight/internal/kernel"
 	"orderlight/internal/olerrors"
@@ -168,12 +171,10 @@ func TestSaveLoadAtomic(t *testing.T) {
 	path := filepath.Join(dir, "cell.ckpt")
 	state := haltState(t, testConfig(), false, 200)
 	c := &ckpt.Checkpoint{Meta: testMeta(), Machine: state}
-	if err := ckpt.Save(path, c); err != nil {
+	if err := ckpt.Save(nil, path, c); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatal("temp file left behind after a successful save")
-	}
+	assertNoTemps(t, dir)
 	got, err := ckpt.Load(path)
 	if err != nil {
 		t.Fatal(err)
@@ -183,11 +184,25 @@ func TestSaveLoadAtomic(t *testing.T) {
 	}
 	// Overwrite is atomic too: save again and reload.
 	c.Meta.CoreCycle = 999
-	if err := ckpt.Save(path, c); err != nil {
+	if err := ckpt.Save(nil, path, c); err != nil {
 		t.Fatal(err)
 	}
 	if got, err = ckpt.Load(path); err != nil || got.Meta.CoreCycle != 999 {
 		t.Fatalf("reload after overwrite: %+v, %v", got.Meta, err)
+	}
+	assertNoTemps(t, dir)
+}
+
+// assertNoTemps fails if any temp file (*.tmp, whatever its unique
+// name) is left in dir.
+func assertNoTemps(t *testing.T, dir string) {
+	t.Helper()
+	tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tmps) != 0 {
+		t.Fatalf("temp files left behind after a successful save: %v", tmps)
 	}
 }
 
@@ -240,7 +255,7 @@ func TestSaveLoadResumeParity(t *testing.T) {
 					st := m.CaptureState()
 					mm := meta
 					mm.CoreCycle = st.Engine.Now.CoreCycles()
-					return ckpt.Save(path, &ckpt.Checkpoint{Meta: mm, Machine: st})
+					return ckpt.Save(nil, path, &ckpt.Checkpoint{Meta: mm, Machine: st})
 				})
 				if _, err := m.Run(); !errors.Is(err, olerrors.ErrHalted) {
 					t.Fatalf("halt at %d: Run = %v, want ErrHalted", h, err)
@@ -279,7 +294,7 @@ func TestSaveLoadResumeParity(t *testing.T) {
 
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := ckpt.OpenJournal(path)
+	j, err := durable.OpenLog(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +333,7 @@ func TestJournalMissingFileIsEmpty(t *testing.T) {
 
 func TestJournalToleratesTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := ckpt.OpenJournal(path)
+	j, err := durable.OpenLog(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,5 +378,56 @@ func TestJournalRejectsMissingHash(t *testing.T) {
 	}
 	if _, err := ckpt.LoadJournal(path); err == nil {
 		t.Fatal("hashless entry followed by more lines accepted")
+	}
+}
+
+// TestJournalFixtureReplays replays a progress journal written by an
+// earlier build: four completed cells (one faulted) and a torn fifth
+// append. Every complete line loads, and each loaded entry re-marshals
+// to exactly the bytes on disk, so the journal format has not drifted.
+func TestJournalFixtureReplays(t *testing.T) {
+	path := filepath.Join("testdata", "journal.jsonl")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ckpt.LoadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(data), "\n")
+	if torn := lines[len(lines)-1]; torn == "" {
+		t.Fatal("fixture lost its torn final line")
+	}
+	complete := lines[:len(lines)-1]
+	wantKeys := map[string]string{
+		"9945b00fa52ac3fd": "copy/fence",
+		"23ab4fa31a1677d3": "copy/orderlight",
+		"888b0f5b2dad9f4c": "add/fence",
+		"3597a834c2a4111b": "copy/fault",
+	}
+	if len(got) != len(wantKeys) || len(complete) != len(wantKeys) {
+		t.Fatalf("replayed %d entries from %d complete lines, want %d", len(got), len(complete), len(wantKeys))
+	}
+	for hash, key := range wantKeys {
+		if got[hash].Key != key {
+			t.Errorf("entry %s = %q, want %q", hash, got[hash].Key, key)
+		}
+	}
+	if got["3597a834c2a4111b"].Fault == nil {
+		t.Error("faulted cell replayed without its verdict")
+	}
+	for i, line := range complete {
+		var e ckpt.JournalEntry
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatal(err)
+		}
+		re, err := json.Marshal(got[e.Hash])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(re) != line {
+			t.Errorf("line %d re-marshals differently:\n got %s\nwant %s", i+1, re, line)
+		}
 	}
 }

@@ -24,7 +24,9 @@ func fuzzSeedCheckpoint(tb testing.TB) []byte {
 // decoder. The invariants: Decode never panics, and anything it
 // accepts survives a re-encode/re-decode round trip with identical
 // metadata — a corrupt file is always a typed error, never a crash or
-// a silently wrong checkpoint.
+// a silently wrong checkpoint. The committed corpus and the checks
+// shared by every envelope owner live in internal/durable's
+// FuzzEnvelopeDecode; this target fuzzes the checkpoint alone.
 func FuzzCheckpointDecode(f *testing.F) {
 	valid := fuzzSeedCheckpoint(f)
 	f.Add([]byte{})
@@ -57,8 +59,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	})
 }
 
-// TestFuzzSeedsAreWellFormed pins the committed corpus entries'
-// intent: the valid seed decodes, the mutations fail typed.
+// TestFuzzSeedsAreWellFormed pins the seed: it decodes, and it carries the format magic.
 func TestFuzzSeedsAreWellFormed(t *testing.T) {
 	valid := fuzzSeedCheckpoint(t)
 	if _, err := ckpt.Decode(valid); err != nil {

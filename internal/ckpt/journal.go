@@ -1,20 +1,19 @@
 package ckpt
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
-	"sync"
 
-	"orderlight/internal/chaos"
+	"orderlight/internal/durable"
 	"orderlight/internal/fault"
 	"orderlight/internal/stats"
 )
 
 // JournalEntry records one completed experiment cell: its identity and
 // everything needed to reconstruct the cell's Result without
-// re-simulating. One JSON object per line.
+// re-simulating. The progress journal is a durable.Log holding one
+// JSON-encoded entry per line.
 type JournalEntry struct {
 	Key         string         // human-readable cell key
 	Hash        string         // cell identity hash (the resume key)
@@ -24,99 +23,24 @@ type JournalEntry struct {
 	Fault       *fault.Verdict // oracle verdict; nil when unfaulted
 }
 
-// Journal is an append-only progress log for a sweep. Each Append is a
-// single write followed by a sync, so a crash leaves at most one
-// partial trailing line — which LoadJournal tolerates. Append is safe
-// for concurrent use by the runner's worker pool.
-type Journal struct {
-	mu sync.Mutex
-	f  chaos.File
-}
-
-// OpenJournal opens (creating if needed) a journal for appending.
-func OpenJournal(path string) (*Journal, error) {
-	return OpenJournalFS(path, chaos.OS)
-}
-
-// OpenJournalFS is OpenJournal through an injectable filesystem — the
-// seam the chaos harness uses to make journal appends fail.
-func OpenJournalFS(path string, fsys chaos.FS) (*Journal, error) {
-	if fsys == nil {
-		fsys = chaos.OS
-	}
-	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: journal: %w", err)
-	}
-	return &Journal{f: f}, nil
-}
-
-// Append records one completed cell. The entry is marshaled to a single
-// line, written in one call, and synced before Append returns, so an
-// acknowledged entry survives a crash.
-func (j *Journal) Append(e JournalEntry) error {
-	line, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("ckpt: journal: %w", err)
-	}
-	line = append(line, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(line); err != nil {
-		return fmt.Errorf("ckpt: journal: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("ckpt: journal: %w", err)
-	}
-	return nil
-}
-
-// Close closes the journal file.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
-}
-
-// LoadJournal reads a journal into a map keyed by cell hash. A missing
-// file is an empty journal. A partial trailing line — the footprint of
-// a crash mid-append — is skipped; a malformed line anywhere else is an
-// error (the journal is corrupt, not merely torn).
+// LoadJournal replays a progress journal into a map keyed by cell hash,
+// with durable.Replay's torn-tail and corrupt-middle rules. A missing
+// file is an empty journal.
 func LoadJournal(path string) (map[string]JournalEntry, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return map[string]JournalEntry{}, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: journal: %w", err)
-	}
-	defer f.Close()
-
 	out := make(map[string]JournalEntry)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	line := 0
-	var pendingErr error
-	for sc.Scan() {
-		line++
-		// A decode failure is only forgivable on the final line (a torn
-		// append); remember it and fail if more lines follow.
-		if pendingErr != nil {
-			return nil, pendingErr
-		}
+	err := durable.Replay(path, func(line []byte) error {
 		var e JournalEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			pendingErr = fmt.Errorf("ckpt: journal %s line %d: %w", path, line, err)
-			continue
+		if err := json.Unmarshal(line, &e); err != nil {
+			return err
 		}
 		if e.Hash == "" {
-			pendingErr = fmt.Errorf("ckpt: journal %s line %d: entry has no cell hash", path, line)
-			continue
+			return errors.New("entry has no cell hash")
 		}
 		out[e.Hash] = e
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("ckpt: journal %s: %w", path, err)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: journal: %w", err)
 	}
 	return out, nil
 }

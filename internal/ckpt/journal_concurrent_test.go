@@ -8,11 +8,12 @@ import (
 	"sync"
 	"testing"
 
+	"orderlight/internal/durable"
 	"orderlight/internal/stats"
 )
 
 // TestJournalConcurrentWriters models the fabric shape: two worker
-// processes (two independent Journal handles, no shared mutex) append
+// processes (two independent durable.Log handles, no shared mutex) append
 // completion records to one file at the same time. O_APPEND plus
 // one-write-per-entry must keep every line intact.
 func TestJournalConcurrentWriters(t *testing.T) {
@@ -21,12 +22,12 @@ func TestJournalConcurrentWriters(t *testing.T) {
 
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
-		j, err := OpenJournal(path)
+		j, err := durable.OpenLog(nil, path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func(w int, j *Journal) {
+		go func(w int, j *durable.Log) {
 			defer wg.Done()
 			defer j.Close()
 			for i := 0; i < perWriter; i++ {
@@ -67,12 +68,12 @@ func TestJournalTornTailAfterConcurrentWrites(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
-		j, err := OpenJournal(path)
+		j, err := durable.OpenLog(nil, path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func(w int, j *Journal) {
+		go func(w int, j *durable.Log) {
 			defer wg.Done()
 			defer j.Close()
 			for i := 0; i < 10; i++ {
@@ -105,7 +106,7 @@ func TestJournalTornTailAfterConcurrentWrites(t *testing.T) {
 // the damage, so silently resuming would drop acknowledged work.
 func TestJournalCorruptMiddleIsLoud(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := OpenJournal(path)
+	j, err := durable.OpenLog(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestJournalCorruptMiddleIsLoud(t *testing.T) {
 	f, _ := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	f.WriteString("{\"Hash\":\"torn\n")
 	f.Close()
-	j2, err := OpenJournal(path)
+	j2, err := durable.OpenLog(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}

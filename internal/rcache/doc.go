@@ -16,16 +16,12 @@
 // # Layout
 //
 // On disk every entry is one blob file named by the hex sha256 of its
-// key, in the container format shared with internal/ckpt:
-//
-//	magic "OLRES1" | version uint16 | payload length uint64 | sha256 | gob envelope
-//
-// (integers big-endian; the envelope carries the key so a blob can
-// prove it answers the key that hashed to its name). Writes are
-// atomic — temp file + fsync + rename — so concurrent writers and
-// crashes leave either a previous complete blob or none. An in-memory
-// LRU front (byte-budgeted, DefaultMemBytes by default) absorbs the
-// hot-key traffic.
+// key: an internal/durable envelope with magic "OLRES1" around a gob
+// payload that carries the key, so a blob can prove it answers the key
+// that hashed to its name. Blobs are published with durable.WriteFile,
+// so concurrent writers and crashes leave either a previous complete
+// blob or none. An in-memory LRU front (byte-budgeted, DefaultMemBytes
+// by default) absorbs the hot-key traffic.
 //
 // # Corruption
 //

@@ -19,7 +19,10 @@ func fuzzSeedBlob(tb testing.TB) []byte {
 // The invariants: Decode never panics, and anything it accepts
 // survives a re-encode/re-decode round trip with identical key and
 // payload — a damaged blob is always a typed error (which Get turns
-// into a miss), never a crash or a silently wrong result.
+// into a miss), never a crash or a silently wrong result. The
+// committed corpus and the checks shared by every envelope owner live
+// in internal/durable's FuzzEnvelopeDecode; this target fuzzes the
+// result cache alone.
 func FuzzResultCacheDecode(f *testing.F) {
 	valid := fuzzSeedBlob(f)
 	f.Add([]byte{})
@@ -52,8 +55,7 @@ func FuzzResultCacheDecode(f *testing.F) {
 	})
 }
 
-// TestFuzzSeedsAreWellFormed pins the committed corpus entries'
-// intent: the valid seed decodes, and carries the expected magic.
+// TestFuzzSeedsAreWellFormed pins the seed: it decodes, and carries the expected magic.
 func TestFuzzSeedsAreWellFormed(t *testing.T) {
 	valid := fuzzSeedBlob(t)
 	if _, _, err := Decode(valid); err != nil {

@@ -1,11 +1,8 @@
 package rcache
 
 import (
-	"bytes"
 	"container/list"
 	"crypto/sha256"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"expvar"
 	"fmt"
@@ -16,21 +13,16 @@ import (
 	"sync"
 
 	"orderlight/internal/chaos"
+	"orderlight/internal/durable"
 )
 
 // Version is the current blob format version. Decode rejects any other
 // version with ErrVersion.
 const Version = 1
 
-const magic = "OLRES1"
-
-// headerLen is magic + version + payload length + sha256.
-const headerLen = len(magic) + 2 + 8 + sha256.Size
-
 // Decode failure sentinels. A damaged blob is never fatal to a run —
 // Get treats every decode error as a miss and removes the blob — but
-// the sentinels keep the failure modes distinct for tests and fuzzing,
-// mirroring the ckpt decode ladder.
+// the sentinels keep the failure modes distinct for tests and fuzzing.
 var (
 	ErrTruncated   = errors.New("rcache: blob truncated")
 	ErrFormat      = errors.New("rcache: blob format")
@@ -38,6 +30,16 @@ var (
 	ErrChecksum    = errors.New("rcache: blob checksum mismatch")
 	ErrKeyMismatch = errors.New("rcache: blob key mismatch")
 )
+
+// format is the blob envelope: magic "OLRES1" around a gob envelope.
+var format = durable.Format{
+	Magic:        "OLRES1",
+	Version:      Version,
+	ErrTruncated: ErrTruncated,
+	ErrFormat:    ErrFormat,
+	ErrVersion:   ErrVersion,
+	ErrChecksum:  ErrChecksum,
+}
 
 // envelope is the gob payload inside the container: the full cache key
 // travels with the data so Get can verify a blob really belongs to the
@@ -247,62 +249,20 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, fmt.Sprintf("%x.res", sum))
 }
 
-// Encode renders a key/payload pair into the versioned container
-// format shared with internal/ckpt:
-//
-//	magic "OLRES1" | version uint16 | payload length uint64 | sha256 | gob envelope
-//
-// (integers big-endian; the envelope carries the key alongside the
-// data so decoding can prove the blob answers the key asked about).
+// Encode renders a key/payload pair into the OLRES1 durable envelope.
+// The gob payload carries the key alongside the data so decoding can
+// prove the blob answers the key asked about.
 func Encode(key string, data []byte) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&envelope{Key: key, Data: data}); err != nil {
-		return nil, fmt.Errorf("rcache: encode: %w", err)
-	}
-	sum := sha256.Sum256(payload.Bytes())
-	out := make([]byte, 0, headerLen+payload.Len())
-	out = append(out, magic...)
-	out = binary.BigEndian.AppendUint16(out, Version)
-	out = binary.BigEndian.AppendUint64(out, uint64(payload.Len()))
-	out = append(out, sum[:]...)
-	out = append(out, payload.Bytes()...)
-	return out, nil
+	return format.Encode(&envelope{Key: key, Data: data})
 }
 
-// Decode parses and verifies a blob container, returning the embedded
-// key and payload. Failure modes map to distinct sentinels: short read
-// ErrTruncated, bad magic / trailing garbage / undecodable payload
-// ErrFormat, future version ErrVersion, digest mismatch ErrChecksum.
+// Decode parses and verifies a blob, returning the embedded key and
+// payload. Every failure wraps exactly one of ErrTruncated, ErrFormat,
+// ErrVersion or ErrChecksum (see durable.Format).
 func Decode(blob []byte) (key string, data []byte, err error) {
-	if len(blob) < len(magic) {
-		return "", nil, fmt.Errorf("%w: %d bytes, header needs %d", ErrTruncated, len(blob), headerLen)
-	}
-	if string(blob[:len(magic)]) != magic {
-		return "", nil, fmt.Errorf("%w: bad magic %q", ErrFormat, blob[:len(magic)])
-	}
-	if len(blob) < headerLen {
-		return "", nil, fmt.Errorf("%w: %d bytes, header needs %d", ErrTruncated, len(blob), headerLen)
-	}
-	ver := binary.BigEndian.Uint16(blob[len(magic):])
-	if ver != Version {
-		return "", nil, fmt.Errorf("%w: blob is v%d, this build reads v%d", ErrVersion, ver, Version)
-	}
-	declared := binary.BigEndian.Uint64(blob[len(magic)+2:])
-	var sum [sha256.Size]byte
-	copy(sum[:], blob[len(magic)+10:])
-	payload := blob[headerLen:]
-	if uint64(len(payload)) < declared {
-		return "", nil, fmt.Errorf("%w: payload is %d of %d declared bytes", ErrTruncated, len(payload), declared)
-	}
-	if uint64(len(payload)) > declared {
-		return "", nil, fmt.Errorf("%w: %d bytes of trailing garbage", ErrFormat, uint64(len(payload))-declared)
-	}
-	if sha256.Sum256(payload) != sum {
-		return "", nil, fmt.Errorf("%w: payload does not match header digest", ErrChecksum)
-	}
 	var e envelope
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&e); err != nil {
-		return "", nil, fmt.Errorf("%w: payload decode: %v", ErrFormat, err)
+	if err := format.Decode(blob, &e); err != nil {
+		return "", nil, err
 	}
 	return e.Key, e.Data, nil
 }
@@ -373,8 +333,8 @@ func (c *Cache) miss() {
 	expMisses.Add(1)
 }
 
-// Put stores data under key: atomically on disk (temp file + fsync +
-// rename, so a crash mid-write leaves the previous blob or none) and
+// Put stores data under key: atomically on disk (durable.WriteFile, so
+// a crash mid-write leaves the previous blob or none) and
 // in the LRU front. Storing the same key again overwrites — entries
 // are content-addressed, so any two writers write the same bytes.
 // A disk failure is reported to the caller but also counted toward
@@ -388,7 +348,8 @@ func (c *Cache) Put(key string, data []byte) error {
 			return err
 		}
 		path := c.path(key)
-		if err := c.writeBlob(path, blob); err != nil {
+		if err := durable.WriteFile(c.fsys, path, blob); err != nil {
+			err = fmt.Errorf("rcache: put %s: %w", path, err)
 			c.noteDiskErr()
 			c.mu.Lock()
 			c.stats.Stores++
@@ -410,35 +371,6 @@ func (c *Cache) Put(key string, data []byte) error {
 	c.insertMemLocked(key, data)
 	c.mu.Unlock()
 	expStores.Add(1)
-	return nil
-}
-
-// writeBlob lands one container atomically at path.
-func (c *Cache) writeBlob(path string, blob []byte) error {
-	// Unique temp name per writer: two goroutines racing to store
-	// the same key write identical content, and whichever rename
-	// lands last wins without clobbering the other's temp file.
-	f, err := c.fsys.CreateTemp(c.dir, filepath.Base(path)+".*.tmp")
-	if err != nil {
-		return fmt.Errorf("rcache: put: %w", err)
-	}
-	tmp := f.Name()
-	if _, err = f.Write(blob); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = c.fsys.Chmod(tmp, 0o644)
-	}
-	if err == nil {
-		err = c.fsys.Rename(tmp, path)
-	}
-	if err != nil {
-		c.fsys.Remove(tmp)
-		return fmt.Errorf("rcache: put %s: %w", path, err)
-	}
 	return nil
 }
 

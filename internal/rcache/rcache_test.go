@@ -2,10 +2,17 @@ package rcache
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+)
+
+// The OLRES1 header layout TestDecodeLadder damages field by field.
+const (
+	magic     = "OLRES1"
+	headerLen = len(magic) + 2 + 8 + sha256.Size
 )
 
 func TestRoundTripDisk(t *testing.T) {

@@ -1,14 +1,12 @@
 package runner
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"orderlight/internal/chaos"
+	"orderlight/internal/durable"
 )
 
 // This file is the fabric coordinator's crash journal: every board
@@ -21,14 +19,10 @@ import (
 // attaches to the replayed job (jobs are keyed by request content, see
 // JobKey) instead of starting the sweep over.
 //
-// The write discipline matches internal/ckpt's progress journal: one
-// marshaled line per record, a single Write then a Sync, so a crash
-// leaves at most one torn trailing line — tolerated on replay. Damage
-// anywhere else is a loud error: records after it were acknowledged,
-// and silently dropping them would re-run (or worse, re-collect) work.
-// If an append fails mid-flight the journal turns itself off rather
-// than write past a possibly-torn line; the board keeps serving, it
-// just loses restart coverage (see degradedLocked).
+// The journal is a durable.Log, like the sweep progress journal, with
+// its torn-tail / loud-corrupt-middle replay and its down-on-first-
+// failure latch: a board whose journal is down keeps serving and only
+// loses restart coverage.
 
 // boardRecord is one journal line.
 type boardRecord struct {
@@ -39,14 +33,6 @@ type boardRecord struct {
 	Outcome *CellOutcome `json:"outcome,omitempty"` // cell: one completion
 }
 
-// boardJournal is the open append handle plus its degrade latch.
-type boardJournal struct {
-	f    chaos.File
-	path string
-	logf func(format string, args ...any)
-	down bool // first failed append turns journaling off
-}
-
 // NewJournaledBoard is NewBoard plus a crash journal at path: existing
 // records are replayed into the fresh board (missing file = empty
 // journal), pending ranges are rebuilt from the gaps, then the file is
@@ -55,77 +41,37 @@ type boardJournal struct {
 // replay reads are never faulted, damage is discovered by content).
 // logf, when non-nil, receives replay and degrade notices.
 func NewJournaledBoard(ttl time.Duration, chunk int, path string, fsys chaos.FS, logf func(format string, args ...any)) (*Board, error) {
-	if fsys == nil {
-		fsys = chaos.OS
-	}
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	b := NewBoard(ttl, chunk)
-	replayed, err := b.replayJournal(path)
-	if err != nil {
-		return nil, err
+	b.mu.Lock()
+	replayed := 0
+	err := durable.Replay(path, func(line []byte) error {
+		var rec boardRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
+		}
+		if err := b.applyRecordLocked(&rec); err != nil {
+			return err
+		}
+		replayed++
+		return nil
+	})
+	if err == nil {
+		b.journal, err = durable.OpenLog(fsys, path)
 	}
-	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	b.logf = logf
+	b.rebuildPendingLocked()
+	jobs := len(b.order)
+	b.mu.Unlock()
 	if err != nil {
 		return nil, fmt.Errorf("runner: board journal: %w", err)
 	}
-	b.mu.Lock()
-	b.rebuildPendingLocked()
-	b.journal = &boardJournal{f: f, path: path, logf: logf}
-	jobs := len(b.order)
-	b.mu.Unlock()
 	if replayed > 0 {
 		logf("fabric: replayed %d journal record(s) from %s: %d unfinished job(s) restored", replayed, path, jobs)
 	}
 	return b, nil
-}
-
-// replayJournal reads the journal (plain os read — replay happens
-// before any chaos matters, and reads are never faulted anyway) and
-// applies every record to the empty board. Torn tail tolerated,
-// corrupt middle loud. Returns the number of records applied.
-func (b *Board) replayJournal(path string) (int, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("runner: board journal: %w", err)
-	}
-	defer f.Close()
-
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	line, applied := 0, 0
-	var pendingErr error
-	for sc.Scan() {
-		line++
-		if pendingErr != nil {
-			return 0, pendingErr
-		}
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
-		}
-		var rec boardRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			pendingErr = fmt.Errorf("runner: board journal %s line %d: %w", path, line, err)
-			continue
-		}
-		if err := b.applyRecordLocked(&rec); err != nil {
-			pendingErr = fmt.Errorf("runner: board journal %s line %d: %w", path, line, err)
-			continue
-		}
-		applied++
-	}
-	if err := sc.Err(); err != nil {
-		return 0, fmt.Errorf("runner: board journal %s: %w", path, err)
-	}
-	// A torn final line is the footprint of a crash mid-append; the
-	// record it held was never acknowledged, so dropping it is correct.
-	return applied, nil
 }
 
 // applyRecordLocked replays one journal record. Caller holds b.mu.
@@ -210,38 +156,19 @@ func (b *Board) rebuildPendingLocked() {
 	}
 }
 
-// appendJournalLocked writes one record, degrading the journal on the
-// first failure: appending past a possibly-torn line would turn the
-// replay's tolerable torn tail into a loud corrupt middle. The board
-// keeps operating without the journal — a subsequent coordinator
-// restart loses the un-journaled progress, never the running job.
-// Caller holds b.mu.
+// appendJournalLocked writes one record, logging the failure that
+// takes the journal down. Caller holds b.mu.
 func (b *Board) appendJournalLocked(rec boardRecord) {
-	jn := b.journal
-	if jn == nil || jn.down {
+	if b.journal == nil {
 		return
 	}
-	line, err := json.Marshal(&rec)
-	if err != nil {
-		jn.down = true
-		jn.logf("fabric: board journal disabled: encode: %v", err)
-		return
-	}
-	line = append(line, '\n')
-	_, err = jn.f.Write(line)
-	if err == nil {
-		err = jn.f.Sync()
-	}
-	if err != nil {
-		jn.down = true
-		jn.logf("fabric: board journal %s disabled after write failure (restart coverage lost, job unaffected): %v", jn.path, err)
+	if err := b.journal.Append(&rec); err != nil {
+		b.logf("fabric: board journal disabled after write failure (restart coverage lost, job unaffected): %v", err)
 	}
 }
 
 // JournalDegraded reports whether the board's crash journal has shut
 // itself off after a write failure.
 func (b *Board) JournalDegraded() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.journal != nil && b.journal.down
+	return b.journal != nil && b.journal.Down()
 }

@@ -2,6 +2,8 @@ package runner
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -393,5 +395,60 @@ func TestBoardWorkersSnapshotOrder(t *testing.T) {
 	}
 	if ws[1].Name != "aa-steady" || ws[1].Leases != 1 {
 		t.Fatalf("Workers()[1] = %+v, want aa-steady holding 1 lease", ws[1])
+	}
+}
+
+// TestBoardJournalFixtureReplays replays a coordinator journal written
+// by an earlier build: a job with two of four cells done and a third
+// lease lost, a collected (forgotten) job, a job failed by a worker
+// error, and a torn final append. The rebuilt board must hold exactly
+// that state, and every replayed outcome must re-marshal to the bytes
+// on disk.
+func TestBoardJournalFixtureReplays(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "board.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "board.journal")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewJournaledBoard(time.Minute, 2, path, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk := map[string]bool{}
+	for _, line := range strings.Split(string(data), "\n") {
+		onDisk[line] = true
+	}
+	var got []string
+	b.mu.Lock()
+	for _, key := range b.order {
+		j := b.jobs[key]
+		state := fmt.Sprintf("%s %s total=%d done=%d finished=%t err=%q", key, j.request, j.total, j.done, j.finished, j.errMsg)
+		if !j.finished {
+			state += fmt.Sprintf(" pending=%v", j.pending)
+		}
+		got = append(got, state)
+		for _, o := range j.outcomes {
+			if o == nil {
+				continue
+			}
+			line, err := json.Marshal(&boardRecord{Op: "cell", Job: key, Outcome: o})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !onDisk[string(line)] {
+				t.Errorf("replayed outcome %d of %s does not re-marshal to a journal line: %s", o.Index, key, line)
+			}
+		}
+	}
+	b.mu.Unlock()
+	want := []string{
+		`fj-415baa1e04b357c4 {"kind":"experiment","experiment":"fig5"} total=4 done=2 finished=false err="" pending=[[2 4]]`,
+		`fj-ad452120827fe4db {"kind":"experiment","experiment":"fig12"} total=3 done=0 finished=true err="cell 0 (fig12/x): cell panicked"`,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("replayed board:\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"orderlight/internal/durable"
 	"orderlight/internal/fault"
 	"orderlight/internal/olerrors"
 	"orderlight/internal/stats"
@@ -123,8 +124,10 @@ type Board struct {
 	hbGrace time.Duration
 
 	// journal, when non-nil, receives every board mutation so a killed
-	// coordinator restarts with leases' work intact. See boardjournal.go.
-	journal *boardJournal
+	// coordinator restarts with leases' work intact; logf takes its
+	// replay and degrade notices. See boardjournal.go.
+	journal *durable.Log
+	logf    func(format string, args ...any)
 }
 
 // JobKey is the board's content-addressed job identity: identical

@@ -1,6 +1,10 @@
 package runner
 
-import "testing"
+import (
+	"testing"
+
+	"orderlight/internal/fault"
+)
 
 // TestCellCacheKeyGolden pins the result-cache key bytes of one skip
 // cell and one dense cell. A change here orphans every warm cache on
@@ -26,6 +30,29 @@ func TestCellCacheKeyGolden(t *testing.T) {
 	} {
 		if got := New(Options{Engine: tc.eng}).cellCacheKey(tc.cell); got != tc.want {
 			t.Errorf("%s cell key drifted:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestCellHashGolden pins cellHash for one plain and one faulted cell.
+// The hash names checkpoint files and keys progress-journal entries, so
+// a change here strands every checkpoint directory on disk (see
+// internal/ckpt/testdata/journal.jsonl, keyed by these hashes).
+func TestCellHashGolden(t *testing.T) {
+	plain := testCells(t)[0]
+	faulted := plain
+	faulted.Key = "copy/fault"
+	faulted.Fault = fault.Spec{Class: fault.ClassDropOrdering, Seed: 7, Rate: 0.5}
+	for _, tc := range []struct {
+		name string
+		cell *Cell
+		want string
+	}{
+		{"plain", &plain, "9945b00fa52ac3fd"},
+		{"faulted", &faulted, "3597a834c2a4111b"},
+	} {
+		if got := cellHash(tc.cell); got != tc.want {
+			t.Errorf("%s cell hash drifted: got %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }

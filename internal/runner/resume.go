@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"orderlight/internal/ckpt"
+	"orderlight/internal/durable"
 	"orderlight/internal/olerrors"
 	"orderlight/internal/sim"
 	"orderlight/internal/twin"
@@ -39,8 +40,9 @@ func (e *Engine) ckptPath(hash string) string {
 }
 
 // sweepTemps removes stray checkpoint temp files. An interrupted save
-// leaves a *.tmp next to the real file; the atomic rename protocol means
-// a temp file is never a valid checkpoint, so removal is always safe.
+// can leave a durable.WriteFile temp (*.tmp) next to the real file; the
+// atomic rename protocol means a temp file is never a valid checkpoint,
+// so removal is always safe.
 func (e *Engine) sweepTemps() {
 	tmps, _ := filepath.Glob(filepath.Join(e.ckptDir, "*.tmp"))
 	for _, t := range tmps {
@@ -124,18 +126,19 @@ func (e *Engine) backoff(ctx context.Context, hash string, attempt int) error {
 	}
 }
 
-// journalAppend records a completed cell, degrading on failure: the
-// first failed append disables journaling for the rest of the engine's
-// life and counts a durability error, but the cell's result stands.
-// Appending past a torn write would turn the journal's tolerable torn
-// tail into a loud corrupt middle on the next resume, so once one
-// append fails none may follow it.
-func (e *Engine) journalAppend(journal *ckpt.Journal, ent ckpt.JournalEntry) {
-	if e.journalDown.Load() {
+// journalCell records a completed cell in the sweep's progress journal
+// (nil when the sweep keeps none). The log latches down on its first
+// failed append (see durable.Log); that failure counts as one
+// durability error, and the cell's result stands.
+func (e *Engine) journalCell(journal *durable.Log, c *Cell, hash string, res Result) {
+	if journal == nil {
 		return
 	}
-	if jerr := journal.Append(ent); jerr != nil {
-		e.journalDown.Store(true)
+	if journal.Append(ckpt.JournalEntry{
+		Key: c.Key, Hash: hash, Run: res.Run,
+		HostLatency: res.HostLatency, HostServed: res.HostServed,
+		Fault: res.Fault,
+	}) != nil {
 		e.durabilityErrs.Add(1)
 	}
 }
@@ -150,7 +153,7 @@ func (e *Engine) DurabilityErrors() int64 { return e.durabilityErrs.Load() }
 // and journals the completed result. Retries rerun the cell from
 // scratch (or from its last on-disk checkpoint when resume is on) after
 // an exponential backoff.
-func (e *Engine) runCellRetry(ctx context.Context, c *Cell, journal *ckpt.Journal) (Result, error) {
+func (e *Engine) runCellRetry(ctx context.Context, c *Cell, journal *durable.Log) (Result, error) {
 	if e.engine == EngineTwin {
 		res, err := e.runTwinCell(c)
 		if err == nil {
@@ -170,15 +173,10 @@ func (e *Engine) runCellRetry(ctx context.Context, c *Cell, journal *ckpt.Journa
 		if res, ok, err := e.lookupCache(c); err != nil {
 			return Result{}, err
 		} else if ok {
-			if journal != nil {
-				// Journal the served cell like any completed one, so a
-				// later resume of this sweep replays it even without the
-				// cache directory.
-				e.journalAppend(journal, ckpt.JournalEntry{
-					Key: c.Key, Hash: hash, Run: res.Run,
-					HostLatency: res.HostLatency, HostServed: res.HostServed,
-				})
-			}
+			// Journal the served cell like any completed one, so a later
+			// resume of this sweep replays it even without the cache
+			// directory.
+			e.journalCell(journal, c, hash, res)
 			return res, nil
 		}
 	}
@@ -191,12 +189,8 @@ func (e *Engine) runCellRetry(ctx context.Context, c *Cell, journal *ckpt.Journa
 			if res.Manifest != nil && cached {
 				res.Manifest.CacheKey = e.cellCacheKey(c)
 			}
+			e.journalCell(journal, c, hash, res)
 			if journal != nil {
-				e.journalAppend(journal, ckpt.JournalEntry{
-					Key: c.Key, Hash: hash, Run: res.Run,
-					HostLatency: res.HostLatency, HostServed: res.HostServed,
-					Fault: res.Fault,
-				})
 				// The cell is journal-complete; its checkpoint is spent.
 				os.Remove(e.ckptPath(hash))
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -341,5 +342,47 @@ func TestCellHashStableAndSensitive(t *testing.T) {
 	mutated.Bytes++
 	if cellHash(&mutated) == a {
 		t.Fatal("cell hash ignores the footprint")
+	}
+}
+
+// TestSweepResumesFromFixtureJournal resumes the cells behind
+// internal/ckpt/testdata/journal.jsonl (written by an earlier build)
+// from that journal: every cell replays, none simulates, and the
+// replayed statistics equal a fresh run's.
+func TestSweepResumesFromFixtureJournal(t *testing.T) {
+	cells := testCells(t)[:3]
+	faulted := cells[0]
+	faulted.Key = "copy/fault"
+	faulted.Fault = fault.Spec{Class: fault.ClassDropOrdering, Seed: 7, Rate: 0.5}
+	cells = append(cells, faulted)
+
+	data, err := os.ReadFile(filepath.Join("..", "ckpt", "testdata", "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	e := New(Options{Parallelism: 1, CheckpointDir: dir, Resume: true})
+	got, err := e.Run(ctx, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := e.Simulated(); n != 0 {
+		t.Fatalf("resume simulated %d cells, want 0 (all are journaled)", n)
+	}
+	ref, err := New(Options{Parallelism: 1}).Run(ctx, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cells {
+		if got[i].Run.String() != ref[i].Run.String() {
+			t.Errorf("cell %s: journal replay differs from a fresh run", cells[i].Key)
+		}
+		if fmt.Sprintf("%+v", got[i].Fault) != fmt.Sprintf("%+v", ref[i].Fault) {
+			t.Errorf("cell %s: replayed fault verdict %+v, want %+v", cells[i].Key, got[i].Fault, ref[i].Fault)
+		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"orderlight/internal/chaos"
 	"orderlight/internal/ckpt"
 	"orderlight/internal/config"
+	"orderlight/internal/durable"
 	"orderlight/internal/fault"
 	"orderlight/internal/gpu"
 	"orderlight/internal/kernel"
@@ -226,12 +227,9 @@ type Engine struct {
 
 	simulated atomic.Int64 // cells actually executed (not replayed or cache-served)
 
-	// Durability degradation state: a failed journal append stops
-	// journaling for the rest of the engine's life (appending past a
-	// torn line would turn a tolerable torn tail into a loud corrupt
-	// middle on the next resume); failed checkpoint saves are counted
-	// and skipped. Both cost resume coverage, never correctness.
-	journalDown    atomic.Bool
+	// durabilityErrs counts degraded durability work: failed checkpoint
+	// saves (skipped) and journal logs taken down by a failed append.
+	// Both cost resume coverage, never correctness.
 	durabilityErrs atomic.Int64
 
 	mu   sync.Mutex // serializes progress callbacks
@@ -325,7 +323,7 @@ func (e *Engine) Run(ctx context.Context, cells []Cell) ([]Result, error) {
 		return nil, fmt.Errorf("runner: %w: Resume needs a CheckpointDir", olerrors.ErrInvalidSpec)
 	}
 	var (
-		journal   *ckpt.Journal
+		journal   *durable.Log
 		doneCells map[string]ckpt.JournalEntry
 	)
 	if e.ckptDir != "" {
@@ -333,18 +331,15 @@ func (e *Engine) Run(ctx context.Context, cells []Cell) ([]Result, error) {
 			return nil, fmt.Errorf("runner: checkpoint dir: %w", err)
 		}
 		jpath := filepath.Join(e.ckptDir, journalName)
+		var err error
 		if e.resume {
-			m, err := ckpt.LoadJournal(jpath)
-			if err != nil {
+			if doneCells, err = ckpt.LoadJournal(jpath); err != nil {
 				return nil, err
 			}
-			doneCells = m
 		}
-		j, err := ckpt.OpenJournalFS(jpath, e.fs)
-		if err != nil {
-			return nil, err
+		if journal, err = durable.OpenLog(e.fs, jpath); err != nil {
+			return nil, fmt.Errorf("runner: journal: %w", err)
 		}
-		journal = j
 		defer journal.Close()
 		// A cancelled or crashed save can strand a temp file; the rename
 		// protocol makes temps always-garbage, so sweep them on the way
@@ -545,7 +540,7 @@ func (e *Engine) runCell(c *Cell, hash string, stop *atomic.Bool) (res Result, e
 			mm := meta
 			mm.CoreCycle = st.Engine.Now.CoreCycles()
 			mm.SimTime = int64(st.Engine.Now)
-			if serr := ckpt.SaveFS(path, &ckpt.Checkpoint{Meta: mm, Machine: st}, e.fs); serr != nil {
+			if serr := ckpt.Save(e.fs, path, &ckpt.Checkpoint{Meta: mm, Machine: st}); serr != nil {
 				// A failed save costs this cell its restart point, not
 				// the run: the atomic protocol left the previous
 				// checkpoint (or none) intact, so resume still works —

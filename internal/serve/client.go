@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -197,11 +195,7 @@ func (c *Client) Submit(ctx context.Context, req JobRequest) (JobID, error) {
 		return "", fmt.Errorf("serve: %w: in-process callbacks (WithProgress, WithTraceSink, WithSampler) cannot cross the wire; use the events stream (stream_trace) instead", olerrors.ErrInvalidSpec)
 	}
 	if c.retry.Attempts > 1 && req.IdempotencyKey == "" {
-		b, err := json.Marshal(&req)
-		if err == nil {
-			sum := sha256.Sum256(b)
-			req.IdempotencyKey = "idem-" + hex.EncodeToString(sum[:8])
-		}
+		req.IdempotencyKey = "idem-" + requestHash(&req)
 	}
 	var st JobStatus
 	if err := c.doJSON(ctx, http.MethodPost, "/v1/jobs", &req, &st); err != nil {

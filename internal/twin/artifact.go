@@ -3,33 +3,28 @@ package twin
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
+
+	"orderlight/internal/chaos"
+	"orderlight/internal/durable"
 )
 
 // Version is the current calibration-artifact format version. Decode
 // rejects any other version with ErrVersion.
 const Version = 1
 
-const magic = "OLCAL1"
-
-// headerLen is magic + version + payload length + sha256.
-const headerLen = len(magic) + 2 + 8 + sha256.Size
-
 // Failure sentinels. ErrOutOfConfidence is the twin's single decline
 // signal — any query outside the calibrated domain (foreign config,
 // unknown or modified spec, footprint outside the anchored range,
 // unmodeled primitive) gets it, so callers can escalate to the cycle
-// engine with one errors.Is check. The decode ladder mirrors the
-// ckpt/rcache idiom, and every decode sentinel wraps ErrCalibration so
-// "the artifact is unusable" is one classification no matter how it
-// broke.
+// engine with one errors.Is check. Every decode sentinel wraps
+// ErrCalibration so "the artifact is unusable" is one classification no
+// matter how it broke.
 var (
 	ErrOutOfConfidence = errors.New("twin: query outside calibrated confidence domain")
 
@@ -39,6 +34,17 @@ var (
 	ErrVersion     = fmt.Errorf("%w: version", ErrCalibration)
 	ErrChecksum    = fmt.Errorf("%w: checksum mismatch", ErrCalibration)
 )
+
+// format is the calibration envelope: magic "OLCAL1", failures
+// classified by the sentinels above.
+var format = durable.Format{
+	Magic:        "OLCAL1",
+	Version:      Version,
+	ErrTruncated: ErrTruncated,
+	ErrFormat:    ErrFormat,
+	ErrVersion:   ErrVersion,
+	ErrChecksum:  ErrChecksum,
+}
 
 // Entry is one calibrated model family: the fitted lines and recorded
 // error bounds for a (kernel, primitive, temporary-storage) cell class.
@@ -93,62 +99,20 @@ func sortEntries(es []Entry) {
 	})
 }
 
-// Encode renders the artifact into the versioned container format
-// shared with internal/ckpt and internal/rcache:
-//
-//	magic "OLCAL1" | version uint16 | payload length uint64 | sha256 | gob payload
-//
-// (integers big-endian). Entries are sorted into canonical order first.
+// Encode renders the artifact into the OLCAL1 durable envelope.
+// Entries are sorted into canonical order first.
 func Encode(a *Artifact) ([]byte, error) {
 	sortEntries(a.Entries)
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(a); err != nil {
-		return nil, fmt.Errorf("twin: encode calibration: %w", err)
-	}
-	sum := sha256.Sum256(payload.Bytes())
-	out := make([]byte, 0, headerLen+payload.Len())
-	out = append(out, magic...)
-	out = binary.BigEndian.AppendUint16(out, Version)
-	out = binary.BigEndian.AppendUint64(out, uint64(payload.Len()))
-	out = append(out, sum[:]...)
-	out = append(out, payload.Bytes()...)
-	return out, nil
+	return format.Encode(a)
 }
 
-// Decode parses and verifies a calibration blob. Failure modes map to
-// distinct sentinels: short read ErrTruncated, bad magic / trailing
-// garbage / undecodable payload ErrFormat, future version ErrVersion,
-// digest mismatch ErrChecksum — all wrapping ErrCalibration.
+// Decode parses and verifies a calibration blob. Every failure wraps
+// exactly one of ErrTruncated, ErrFormat, ErrVersion or ErrChecksum
+// (see durable.Format), and so also ErrCalibration.
 func Decode(blob []byte) (*Artifact, error) {
-	if len(blob) < len(magic) {
-		return nil, fmt.Errorf("%w: %d bytes, header needs %d", ErrTruncated, len(blob), headerLen)
-	}
-	if string(blob[:len(magic)]) != magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrFormat, blob[:len(magic)])
-	}
-	if len(blob) < headerLen {
-		return nil, fmt.Errorf("%w: %d bytes, header needs %d", ErrTruncated, len(blob), headerLen)
-	}
-	ver := binary.BigEndian.Uint16(blob[len(magic):])
-	if ver != Version {
-		return nil, fmt.Errorf("%w: artifact is v%d, this build reads v%d", ErrVersion, ver, Version)
-	}
-	declared := binary.BigEndian.Uint64(blob[len(magic)+2:])
-	var sum [sha256.Size]byte
-	copy(sum[:], blob[len(magic)+10:])
-	payload := blob[headerLen:]
-	if uint64(len(payload)) < declared {
-		return nil, fmt.Errorf("%w: payload is %d of %d declared bytes", ErrTruncated, len(payload), declared)
-	}
-	if uint64(len(payload)) > declared {
-		return nil, fmt.Errorf("%w: %d bytes of trailing garbage", ErrFormat, uint64(len(payload))-declared)
-	}
-	if sha256.Sum256(payload) != sum {
-		return nil, fmt.Errorf("%w: payload does not match header digest", ErrChecksum)
-	}
 	var a Artifact
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&a); err != nil {
-		return nil, fmt.Errorf("%w: payload decode: %v", ErrFormat, err)
+	if err := format.Decode(blob, &a); err != nil {
+		return nil, err
 	}
 	return &a, nil
 }
@@ -169,33 +133,14 @@ func (a *Artifact) Hash() string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// Save writes the artifact to path atomically (temp file + fsync +
-// rename), the same crash discipline as checkpoints and cache blobs.
+// Save writes the artifact to path atomically with durable.WriteFile,
+// the same crash discipline as checkpoints and cache blobs.
 func Save(a *Artifact, path string) error {
 	blob, err := Encode(a)
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".*.tmp")
-	if err != nil {
-		return fmt.Errorf("twin: save calibration: %w", err)
-	}
-	tmp := f.Name()
-	if _, err = f.Write(blob); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Chmod(tmp, 0o644)
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
+	if err := durable.WriteFile(chaos.OS, path, blob); err != nil {
 		return fmt.Errorf("twin: save calibration %s: %w", path, err)
 	}
 	return nil

@@ -30,7 +30,9 @@ func fuzzSeedArtifact(tb testing.TB) []byte {
 // decoder. The invariants: Decode never panics, and anything it
 // accepts survives a re-encode/re-decode round trip with an identical
 // content hash — a corrupt artifact is always a typed error, never a
-// crash or a silently different calibration.
+// crash or a silently different calibration. The committed corpus and
+// the checks shared by every envelope owner live in internal/durable's
+// FuzzEnvelopeDecode; this target fuzzes the calibration alone.
 func FuzzCalibrationDecode(f *testing.F) {
 	valid := fuzzSeedArtifact(f)
 	f.Add([]byte{})
@@ -63,8 +65,7 @@ func FuzzCalibrationDecode(f *testing.F) {
 	})
 }
 
-// TestFuzzSeedsAreWellFormed pins the committed corpus entries'
-// intent: the valid seed decodes, and it carries the format magic.
+// TestFuzzSeedsAreWellFormed pins the seed: it decodes, and it carries the format magic.
 func TestFuzzSeedsAreWellFormed(t *testing.T) {
 	valid := fuzzSeedArtifact(t)
 	if _, err := twin.Decode(valid); err != nil {
